@@ -94,12 +94,10 @@ class RankedAuthor:
 
 @dataclass(frozen=True)
 class CohortRow:
-    """One author of a discipline: per-db reports and per-db ranks."""
+    """One author of a discipline with a report per database."""
 
     author_key: str
     reports: dict[str, IndexReport]
-    rank_h: dict[str, int]
-    rank_hc: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -156,27 +154,18 @@ def build_cohort(
     reports_by_author: dict[str, dict[str, IndexReport]],
     db_tags: tuple[str, str],
 ) -> CohortTable:
-    """Assemble a discipline cohort with ranks per database and per key.
+    """Assemble a discipline cohort, rows ordered by the first database's h rank.
 
-    Rows are ordered by the first database's h ranking, the convention
-    used when plotting the second database against the first.
+    That order is the convention used when plotting the second database
+    against the first.
     """
-    rank_h: dict[str, dict[str, int]] = {}
-    rank_hc: dict[str, dict[str, int]] = {}
-    for tag in db_tags:
-        pairs = [(author, dbs[tag]) for author, dbs in reports_by_author.items()]
-        rank_h[tag] = {ra.author_key: ra.rank for ra in rank_authors(pairs, "h")}
-        rank_hc[tag] = {ra.author_key: ra.rank for ra in rank_authors(pairs, "h_c")}
     lead = db_tags[0]
-    authors = sorted(reports_by_author, key=lambda a: rank_h[lead][a])
+    ranked = rank_authors(
+        [(author, dbs[lead]) for author, dbs in reports_by_author.items()], "h"
+    )
     rows = tuple(
-        CohortRow(
-            author_key=author,
-            reports=dict(reports_by_author[author]),
-            rank_h={tag: rank_h[tag][author] for tag in db_tags},
-            rank_hc={tag: rank_hc[tag][author] for tag in db_tags},
-        )
-        for author in authors
+        CohortRow(author_key=ra.author_key, reports=dict(reports_by_author[ra.author_key]))
+        for ra in ranked
     )
     return CohortTable(discipline=discipline, db_tags=db_tags, rows=rows)
 

@@ -1,7 +1,10 @@
 """Command-line front end: ingestion -> indices -> reconciliation -> analytics.
 
-One subcommand per report family. Identical inputs and configuration
-always produce byte-identical output files; reports are written through
+One subcommand per report family, each an entry of ``REPORTS``: its
+builder computes the family's ``Table`` values from the loaded inputs and
+writes nothing, and ``write_tables`` writes every table (CSV, plus JSON
+unless it is a plot table). Identical inputs and configuration always
+produce byte-identical output files; reports are written through
 temp-file renames so an interrupted run never leaves a corrupt file.
 
 Exit codes: 0 success, 1 I/O failure, 2 validation/schema failure.
@@ -15,6 +18,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterator
 
 from . import analytics
 from .analytics import BinSpec, CohortTable, build_cohort
@@ -33,6 +37,7 @@ from .reports import round_half_up, write_csv, write_json
 
 INDEX_COLUMNS = ("h", "g", "h_cite", "k", "h_c")
 STATS_INDICES = ("h", "h_c", "g")
+PLOT_HEADER = ("series", "x", "y")
 
 
 @dataclass
@@ -57,35 +62,45 @@ def _parse_records_flag(value: str) -> tuple[str, str]:
     return path, tag
 
 
+def _file_str(file_cfg: dict, key: str) -> str | None:
+    """A string entry of the config file, or None when it is absent."""
+    value = file_cfg.get(key)
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"config file {key!r} must be a string")
+    return value
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Merge the optional config file with flags; flags win."""
     file_cfg: dict = {}
     if args.config:
         try:
             file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"config file {args.config}: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
 
     file_records = file_cfg.get("records") or {}
-    if not isinstance(file_records, dict):
+    if not isinstance(file_records, dict) or not all(
+        isinstance(p, str) for p in file_records.values()
+    ):
         raise ConfigError("config file 'records' must map dbtag -> path")
     records: dict[str, Path] = {tag: Path(p) for tag, p in file_records.items()}
     for value in args.records or []:
         path, tag = _parse_records_flag(value)
         records[tag] = Path(path)
 
-    roster = args.roster or file_cfg.get("roster")
+    roster = args.roster or _file_str(file_cfg, "roster")
     if not records or not roster:
         raise ConfigError("both --records (twice) and --roster are required")
 
-    out_dir = args.out or file_cfg.get("out") or os.environ.get(OUT_DIR_ENV) or "out"
+    out_dir = args.out or _file_str(file_cfg, "out") or os.environ.get(OUT_DIR_ENV) or "out"
 
     fmt = args.format or file_cfg.get("format") or "both"
     formats = FORMATS if fmt == "both" else (fmt,)
 
-    bins_text = args.bins or file_cfg.get("bins")
+    bins_text = args.bins or _file_str(file_cfg, "bins")
     try:
         bins = BinSpec.parse(bins_text) if bins_text else analytics.DEFAULT_BINS
     except ValueError as exc:
@@ -94,12 +109,17 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     disciplines = args.disciplines or file_cfg.get("disciplines")
     if isinstance(disciplines, str):
         disciplines = [d.strip() for d in disciplines.split(",") if d.strip()]
+    if disciplines is not None and not (
+        isinstance(disciplines, list) and all(isinstance(d, str) for d in disciplines)
+    ):
+        raise ConfigError("config file 'disciplines' must be a string or a list of strings")
 
-    density_width = (
-        args.density_width
-        if args.density_width is not None
-        else int(file_cfg.get("density_width", 5))
-    )
+    density_width = args.density_width
+    if density_width is None:
+        try:
+            density_width = int(file_cfg.get("density_width", 5))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"config file 'density_width' must be an integer: {exc}") from exc
 
     config = RunConfig(
         records=records,
@@ -188,6 +208,22 @@ def _scopes(pipeline: Pipeline) -> list[str]:
     return [*pipeline.disciplines, GLOBAL_SCOPE]
 
 
+def _scope_tags(pipeline: Pipeline) -> Iterator[tuple[str, str, CohortTable]]:
+    """(scope, database tag, cohort) in report order: scopes outer, tags inner."""
+    for scope in _scopes(pipeline):
+        for tag in pipeline.config.db_tags:
+            yield scope, tag, pipeline.cohorts[scope]
+
+
+def _values(cohort: CohortTable, tag: str, key: str) -> list[int]:
+    """One index of one database for every author of a cohort, in row order."""
+    return [analytics.RANK_KEYS[key](r.reports[tag]) for r in cohort.rows]
+
+
+def _index_values(r: IndexReport) -> tuple[int, ...]:
+    return (r.h, r.g, r.h_cite, r.k, r.h_c)  # in INDEX_COLUMNS order
+
+
 def _pct(config: RunConfig, fraction: float) -> float:
     value = fraction * 100.0
     return round_half_up(value, 1) if config.rounding == "half-up" else value
@@ -197,94 +233,73 @@ def _rho(config: RunConfig, rho: float) -> float:
     return round_half_up(rho, 2) if config.rounding == "half-up" else rho
 
 
-def _emit(
-    pipeline: Pipeline,
-    name: str,
-    header: tuple[str, ...],
-    rows: list[tuple],
-    json_rows: list[dict] | None = None,
-    footnotes: list[str] | None = None,
-) -> None:
-    config = pipeline.config
-    if "csv" in config.formats:
-        path = config.out_dir / f"{name}.csv"
-        write_csv(path, header, rows)
-        print(f"wrote {path}")
-    if "json" in config.formats:
-        payload: dict = {
-            "report": name,
-            "rows": json_rows
-            if json_rows is not None
-            else [dict(zip(header, row)) for row in rows],
-        }
-        if footnotes:
-            payload["footnotes"] = footnotes
-        path = config.out_dir / f"{name}.json"
-        write_json(path, payload)
-        print(f"wrote {path}")
+@dataclass(frozen=True)
+class Table:
+    """One report table; ``json_rows`` overrides the row objects of its JSON.
+
+    A plot table is plot-ready long format and is written as CSV only.
+    """
+
+    name: str
+    header: tuple[str, ...]
+    rows: list[tuple]
+    json_rows: list[dict] | None = None
+    footnotes: tuple[str, ...] = ()
+    plot: bool = False
 
 
-def _emit_plot(pipeline: Pipeline, name: str, rows: list[tuple]) -> None:
-    """Plot-ready long format: series, x, y."""
-    if "csv" not in pipeline.config.formats:
-        return
-    path = pipeline.config.out_dir / f"{name}.csv"
-    write_csv(path, ("series", "x", "y"), rows)
-    print(f"wrote {path}")
+def write_tables(config: RunConfig, tables: list[Table]) -> None:
+    """Write every table in the configured formats, printing each path."""
+    for table in tables:
+        if "csv" in config.formats:
+            path = config.out_dir / f"{table.name}.csv"
+            write_csv(path, table.header, table.rows)
+            print(f"wrote {path}")
+        if "json" in config.formats and not table.plot:
+            payload: dict = {
+                "report": table.name,
+                "rows": table.json_rows
+                if table.json_rows is not None
+                else [dict(zip(table.header, row)) for row in table.rows],
+            }
+            if table.footnotes:
+                payload["footnotes"] = table.footnotes
+            path = config.out_dir / f"{table.name}.json"
+            write_json(path, payload)
+            print(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Report builders: each computes its family's tables and writes nothing
 # ---------------------------------------------------------------------------
 
-def cmd_index(pipeline: Pipeline) -> None:
+def cmd_index(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
     """Per-(author, database) index rows plus per-discipline summaries."""
-    tags = pipeline.config.db_tags
-    rows = []
-    for discipline in pipeline.disciplines:
-        cohort = pipeline.cohorts[discipline]
-        for row in sorted(cohort.rows, key=lambda r: r.author_key):
-            for tag in tags:
-                r = row.reports[tag]
-                rows.append(
-                    (discipline, row.author_key, tag, r.h, r.g, r.h_cite, r.k, r.h_c)
-                )
-    _emit(
-        pipeline,
-        "index_report",
-        ("discipline", "author_key", "db", *INDEX_COLUMNS),
-        rows,
-    )
-
+    rows = [
+        (discipline, row.author_key, tag, *_index_values(row.reports[tag]))
+        for discipline in pipeline.disciplines
+        for row in sorted(pipeline.cohorts[discipline].rows, key=lambda r: r.author_key)
+        for tag in pipeline.config.db_tags
+    ]
     stats_rows = []
-    for scope in _scopes(pipeline):
-        cohort = pipeline.cohorts[scope]
-        for tag in tags:
-            for key in STATS_INDICES:
-                values = [analytics.RANK_KEYS[key](r.reports[tag]) for r in cohort.rows]
-                s = analytics.stats_summary(values)
-                stats_rows.append(
-                    (
-                        scope,
-                        tag,
-                        key,
-                        len(values),
-                        s.minimum,
-                        s.maximum,
-                        s.median,
-                        s.mean,
-                        s.sd,
-                    )
-                )
-    _emit(
-        pipeline,
-        "index_stats",
-        ("discipline", "db", "index", "n", "min", "max", "median", "mean", "sd"),
-        stats_rows,
-    )
+    for scope, tag, cohort in _scope_tags(pipeline):
+        for key in STATS_INDICES:
+            values = _values(cohort, tag, key)
+            s = analytics.stats_summary(values)
+            stats_rows.append(
+                (scope, tag, key, len(values), s.minimum, s.maximum, s.median, s.mean, s.sd)
+            )
+    return [
+        Table("index_report", ("discipline", "author_key", "db", *INDEX_COLUMNS), rows),
+        Table(
+            "index_stats",
+            ("discipline", "db", "index", "n", "min", "max", "median", "mean", "sd"),
+            stats_rows,
+        ),
+    ]
 
 
-def cmd_overlap(pipeline: Pipeline) -> None:
+def cmd_overlap(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
     """Common/unique publication reconciliation per discipline and globally."""
     config = pipeline.config
     tags = config.db_tags
@@ -326,142 +341,130 @@ def cmd_overlap(pipeline: Pipeline) -> None:
             unique = props.per_db_unique_share[tag]
             prop_rows.append((scope, tag, "common", common, _pct(config, common)))
             prop_rows.append((scope, tag, "unique", unique, _pct(config, unique)))
-    _emit(
-        pipeline,
-        "overlap",
-        (
-            "discipline",
-            "author_count",
-            "db",
-            "total_pubs",
-            "unique_pubs",
-            "pubs_received_citations",
-            "total_citations",
-            "common_pubs",
+    return [
+        Table(
+            "overlap",
+            (
+                "discipline",
+                "author_count",
+                "db",
+                "total_pubs",
+                "unique_pubs",
+                "pubs_received_citations",
+                "total_citations",
+                "common_pubs",
+            ),
+            rows,
         ),
-        rows,
-    )
-    _emit(
-        pipeline,
-        "overlap_proportions",
-        ("discipline", "denominator", "series", "share", "share_pct"),
-        prop_rows,
-    )
+        Table(
+            "overlap_proportions",
+            ("discipline", "denominator", "series", "share", "share_pct"),
+            prop_rows,
+        ),
+    ]
 
 
-def cmd_rank(pipeline: Pipeline, key: str) -> None:
-    """Authors of every scope ranked by one index, per database."""
-    tags = pipeline.config.db_tags
+def cmd_rank(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
+    """Authors of every scope ranked by one index (``--key``), per database."""
+    key = args.key
     rows = []
     plot_rows = []
-    for scope in _scopes(pipeline):
-        cohort = pipeline.cohorts[scope]
-        for tag in tags:
-            pairs = [(r.author_key, r.reports[tag]) for r in cohort.rows]
-            for ranked in analytics.rank_authors(pairs, key):
-                r = ranked.report
-                rows.append(
-                    (scope, tag, ranked.rank, ranked.author_key, r.h, r.g, r.h_cite, r.k, r.h_c)
-                )
-                plot_rows.append(
-                    (f"{scope}/{tag}", ranked.rank, analytics.RANK_KEYS[key](r))
-                )
-    _emit(
-        pipeline,
-        f"rank_{key}",
-        ("discipline", "db", "rank", "author_key", *INDEX_COLUMNS),
-        rows,
-    )
-    _emit_plot(pipeline, f"rank_{key}_plot", plot_rows)
+    for scope, tag, cohort in _scope_tags(pipeline):
+        pairs = [(r.author_key, r.reports[tag]) for r in cohort.rows]
+        for ranked in analytics.rank_authors(pairs, key):
+            r = ranked.report
+            rows.append((scope, tag, ranked.rank, ranked.author_key, *_index_values(r)))
+            plot_rows.append((f"{scope}/{tag}", ranked.rank, analytics.RANK_KEYS[key](r)))
+    return [
+        Table(f"rank_{key}", ("discipline", "db", "rank", "author_key", *INDEX_COLUMNS), rows),
+        Table(f"rank_{key}_plot", PLOT_HEADER, plot_rows, plot=True),
+    ]
 
 
-def cmd_bins(pipeline: Pipeline) -> None:
+def cmd_bins(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
     """Share of authors per index bin, h and h_c side by side."""
     config = pipeline.config
-    labels = config.bins.labels()
     header = ["discipline", "db"]
-    for label in labels:
+    for label in config.bins.labels():
         header += [f"h_{label}", f"hc_{label}"]
     rows = []
-    for scope in _scopes(pipeline):
-        cohort = pipeline.cohorts[scope]
-        for tag in config.db_tags:
-            h_bins = analytics.bin_proportions(
-                [r.reports[tag].h for r in cohort.rows], config.bins
-            )
-            hc_bins = analytics.bin_proportions(
-                [r.reports[tag].h_c for r in cohort.rows], config.bins
-            )
-            row = [scope, tag]
-            for h_prop, hc_prop in zip(h_bins.proportions, hc_bins.proportions):
-                row += [_pct(config, h_prop), _pct(config, hc_prop)]
-            rows.append(tuple(row))
-    _emit(pipeline, "author_bins", tuple(header), rows)
+    for scope, tag, cohort in _scope_tags(pipeline):
+        h_bins = analytics.bin_proportions(_values(cohort, tag, "h"), config.bins)
+        hc_bins = analytics.bin_proportions(_values(cohort, tag, "h_c"), config.bins)
+        row = [scope, tag]
+        for h_prop, hc_prop in zip(h_bins.proportions, hc_bins.proportions):
+            row += [_pct(config, h_prop), _pct(config, hc_prop)]
+        rows.append(tuple(row))
+    return [Table("author_bins", tuple(header), rows)]
 
 
-def cmd_corr(pipeline: Pipeline) -> None:
+def cmd_corr(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
     """Rank correlation between h and h_c inside each h-bin."""
     config = pipeline.config
     labels = config.bins.labels()
     rows = []
     json_rows = []
-    for scope in _scopes(pipeline):
-        cohort = pipeline.cohorts[scope]
-        for tag in config.db_tags:
-            rhos = analytics.per_bin_correlation(cohort, config.bins, tag)
-            rendered = [
-                "-" if rho is None else _rho(config, rho) for rho in rhos
-            ]
-            rows.append((scope, tag, *rendered))
-            json_rows.append(
-                {
-                    "discipline": scope,
-                    "db": tag,
-                    **{
-                        label: (None if rho is None else _rho(config, rho))
-                        for label, rho in zip(labels, rhos)
-                    },
-                }
-            )
-    _emit(
-        pipeline,
-        "rank_correlation",
-        ("discipline", "db", *labels),
-        rows,
-        json_rows=json_rows,
-        footnotes=[
-            "cells with fewer than two authors or a constant variable are"
-            " reported as absent (-), never as a number",
-        ],
-    )
+    for scope, tag, cohort in _scope_tags(pipeline):
+        rhos = [
+            None if rho is None else _rho(config, rho)
+            for rho in analytics.per_bin_correlation(cohort, config.bins, tag)
+        ]
+        rows.append((scope, tag, *("-" if rho is None else rho for rho in rhos)))
+        json_rows.append({"discipline": scope, "db": tag, **dict(zip(labels, rhos))})
+    return [
+        Table(
+            "rank_correlation",
+            ("discipline", "db", *labels),
+            rows,
+            json_rows=json_rows,
+            footnotes=(
+                "cells with fewer than two authors or a constant variable are"
+                " reported as absent (-), never as a number",
+            ),
+        )
+    ]
 
 
-def cmd_deviation(pipeline: Pipeline) -> None:
+def cmd_deviation(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
     """Sample sd of per-author cross-database differences, per index."""
-    rows = []
-    plot_rows = []
-    for scope in _scopes(pipeline):
-        cohort = pipeline.cohorts[scope]
-        for key in ("h", "h_c"):
-            sd = analytics.diff_sd(cohort, key)
-            rows.append((scope, key, sd))
-            plot_rows.append((key, scope, sd))
-    _emit(pipeline, "index_deviation", ("discipline", "index", "sd"), rows)
-    _emit_plot(pipeline, "index_deviation_plot", plot_rows)
+    rows = [
+        (scope, key, analytics.diff_sd(pipeline.cohorts[scope], key))
+        for scope in _scopes(pipeline)
+        for key in ("h", "h_c")
+    ]
+    return [
+        Table("index_deviation", ("discipline", "index", "sd"), rows),
+        Table(
+            "index_deviation_plot",
+            PLOT_HEADER,
+            [(key, scope, sd) for scope, key, sd in rows],
+            plot=True,
+        ),
+    ]
 
 
-def cmd_density(pipeline: Pipeline) -> None:
+def cmd_density(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
     """Normalized histogram series of h and h_c per scope and database."""
-    config = pipeline.config
-    rows = []
-    for scope in _scopes(pipeline):
-        cohort = pipeline.cohorts[scope]
-        for tag in config.db_tags:
-            for key in ("h", "h_c"):
-                values = [analytics.RANK_KEYS[key](r.reports[tag]) for r in cohort.rows]
-                for x, y in analytics.density_series(values, config.density_width):
-                    rows.append((f"{scope}/{tag}/{key}", x, y))
-    _emit(pipeline, "density", ("series", "x", "y"), rows)
+    width = pipeline.config.density_width
+    rows = [
+        (f"{scope}/{tag}/{key}", x, y)
+        for scope, tag, cohort in _scope_tags(pipeline)
+        for key in ("h", "h_c")
+        for x, y in analytics.density_series(_values(cohort, tag, key), width)
+    ]
+    return [Table("density", PLOT_HEADER, rows)]
+
+
+# Subcommand -> (report builder, help line); one entry per report family.
+REPORTS: dict[str, tuple[Callable[[Pipeline, argparse.Namespace], list[Table]], str]] = {
+    "index": (cmd_index, "per-author index reports"),
+    "overlap": (cmd_overlap, "common/unique DOI report"),
+    "rank": (cmd_rank, "author rankings"),
+    "bins": (cmd_bins, "author share per index bin"),
+    "corr": (cmd_corr, "per-bin h vs h_c rank correlation"),
+    "deviation": (cmd_deviation, "cross-database index deviation"),
+    "density": (cmd_density, "h and h_c density series"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -503,14 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file; flags override it")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("index", parents=[common], help="per-author index reports")
-    sub.add_parser("overlap", parents=[common], help="common/unique DOI report")
-    rank = sub.add_parser("rank", parents=[common], help="author rankings")
-    rank.add_argument("--key", choices=("h", "g", "h_c"), default="h")
-    sub.add_parser("bins", parents=[common], help="author share per index bin")
-    sub.add_parser("corr", parents=[common], help="per-bin h vs h_c rank correlation")
-    sub.add_parser("deviation", parents=[common], help="cross-database index deviation")
-    sub.add_parser("density", parents=[common], help="h and h_c density series")
+    for name, (_, help_text) in REPORTS.items():
+        sub.add_parser(name, parents=[common], help=help_text)
+    sub.choices["rank"].add_argument("--key", choices=tuple(analytics.RANK_KEYS), default="h")
     return parser
 
 
@@ -522,20 +520,8 @@ def main(argv: list[str] | None = None) -> int:
         pipeline = load_pipeline(config, reject_paths)
         for path in reject_paths:
             print(f"wrote {path}")
-        if args.command == "index":
-            cmd_index(pipeline)
-        elif args.command == "overlap":
-            cmd_overlap(pipeline)
-        elif args.command == "rank":
-            cmd_rank(pipeline, args.key)
-        elif args.command == "bins":
-            cmd_bins(pipeline)
-        elif args.command == "corr":
-            cmd_corr(pipeline)
-        elif args.command == "deviation":
-            cmd_deviation(pipeline)
-        elif args.command == "density":
-            cmd_density(pipeline)
+        build, _ = REPORTS[args.command]
+        write_tables(config, build(pipeline, args))
         return 0
     except OSError as exc:
         print(f"scimetrics: i/o error: {exc}", file=sys.stderr)

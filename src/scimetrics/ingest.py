@@ -98,7 +98,7 @@ def _read_text(data: bytes | str | os.PathLike | IO[bytes]) -> str:
     if isinstance(raw, str):
         return raw
     try:
-        return raw.decode("utf-8")
+        return raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"input is not valid UTF-8: {exc}") from exc
 
@@ -116,20 +116,23 @@ def _infer_format(data, fmt: str | None) -> str:
 
 def _iter_csv_rows(text: str, required: Iterable[str]) -> Iterable[dict]:
     reader = csv.DictReader(io.StringIO(text, newline=""))
-    header = reader.fieldnames
-    if header is None:
-        raise SchemaError("empty input: no header row")
-    missing = [col for col in required if col not in header]
-    if missing:
-        raise SchemaError(f"missing required column(s): {', '.join(missing)}")
-    for row in reader:
-        yield {k: (v or "") for k, v in row.items() if k is not None}
+    try:
+        header = reader.fieldnames
+        if header is None:
+            raise SchemaError("empty input: no header row")
+        missing = [col for col in required if col not in header]
+        if missing:
+            raise SchemaError(f"missing required column(s): {', '.join(missing)}")
+        for row in reader:
+            yield {k: (v or "") for k, v in row.items() if k is not None}
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise SchemaError(f"invalid CSV at line {reader.line_num}: {exc}") from exc
 
 
 def _iter_json_rows(text: str) -> Iterable[dict]:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too-long ints, deep nesting
         raise SchemaError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, list):
         raise SchemaError("JSON input must be an array of objects")

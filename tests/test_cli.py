@@ -1,6 +1,7 @@
 """CLI contract: flags, exit codes, report files, determinism."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -123,6 +124,43 @@ def test_reject_report_contents(tmp_path):
     assert header == ["row", "author_key", "reason"]
     assert [r[2] for r in rows] == ["missing doi", "malformed doi"]
     assert not (out / "rejects_wos.csv").exists()
+
+
+HOSTILE_EXPORTS = {
+    "json_huge_integer": (
+        "records_scopus.json",
+        '[{"author_key": "a1", "doi": "10.1/x", "citations": ' + "9" * 5000 + "}]",
+    ),
+    "json_deep_nesting": ("records_scopus.json", "[" * 100_000 + "]" * 100_000),
+    "csv_huge_field": (
+        "records_scopus.csv",
+        "author_key,doi,citations\na1,10.1/" + "x" * 140_000 + ",5\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_EXPORTS))
+def test_hostile_export_exits_2_without_traceback(case, tmp_path, capsys):
+    data = write_golden_fixture(tmp_path)
+    name, text = HOSTILE_EXPORTS[case]
+    (data / name).write_text(text)
+    args = args_for(data, tmp_path / "out")
+    args[1] = f"{data / name}@scopus"
+    assert main(["index", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scimetrics: SchemaError: ")
+    assert err.count("\n") == 1
+
+
+def test_utf8_bom_is_accepted(tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(SYNTHETIC, data)
+    path = data / "records_scopus.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert main(["index", *args_for(SYNTHETIC, tmp_path / "plain")]) == 0
+    assert main(["index", *args_for(data, tmp_path / "bom")]) == 0
+    report = "index_report.csv"
+    assert (tmp_path / "bom" / report).read_bytes() == (tmp_path / "plain" / report).read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +405,37 @@ def test_requires_exactly_two_databases(tmp_path, capsys):
     )
     assert code == 2
     assert "exactly two database tags" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {"density_width": "abc"},
+        {"records": {"scopus": 5}},
+        {"disciplines": 5},
+        {"bins": 5},
+        {"roster": 5},
+        {"out": 5},
+    ],
+    ids=["density_width", "records", "disciplines", "bins", "roster", "out"],
+)
+def test_config_value_of_wrong_type_exits_2(value, tmp_path, capsys):
+    data = write_golden_fixture(tmp_path)
+    cfg = {
+        "records": {
+            "scopus": str(data / "records_scopus.csv"),
+            "wos": str(data / "records_wos.csv"),
+        },
+        "roster": str(data / "roster.csv"),
+        "out": str(tmp_path / "out"),
+        **value,
+    }
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["index", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scimetrics: ConfigError: ")
+    assert err.count("\n") == 1
 
 
 def test_unknown_command_is_usage_error():
