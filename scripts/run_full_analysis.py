@@ -3,7 +3,9 @@
 
 Expects records_scopus.csv, records_wos.csv and roster.csv in --data
 (the layout written by make_synthetic_data.py) and writes all reports
-to --out.
+to --out. The inputs are loaded once and every report family is built
+from that one load; the files and ``wrote`` lines are the same as running
+each subcommand separately.
 """
 
 from __future__ import annotations
@@ -18,6 +20,11 @@ COMMANDS = ("index", "overlap", "rank", "bins", "corr", "deviation", "density")
 
 
 def run(data: Path, out: Path, extra: list[str]) -> int:
+    """Call ``main`` once per report family, sharing one load of the inputs.
+
+    The shared load lives only for this call, so every call of ``run``
+    reads its inputs afresh.
+    """
     base = [
         "--records", f"{data / 'records_scopus.csv'}@scopus",
         "--records", f"{data / 'records_wos.csv'}@wos",
@@ -25,8 +32,9 @@ def run(data: Path, out: Path, extra: list[str]) -> int:
         "--out", str(out),
         *extra,
     ]
+    loaded: dict = {}
     for command in COMMANDS:
-        code = main([command, *base])
+        code = main([command, *base], loaded)
         if code != 0:
             print(f"{command} failed with exit code {code}", file=sys.stderr)
             return code

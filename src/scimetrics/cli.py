@@ -116,10 +116,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
     density_width = args.density_width
     if density_width is None:
-        try:
-            density_width = int(file_cfg.get("density_width", 5))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"config file 'density_width' must be an integer: {exc}") from exc
+        density_width = file_cfg.get("density_width", 5)
+        if isinstance(density_width, bool) or not isinstance(density_width, int):
+            raise ConfigError(
+                f"config file 'density_width' must be an integer, got {density_width!r}"
+            )
 
     config = RunConfig(
         records=records,
@@ -512,12 +513,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None, loaded: dict | None = None) -> int:
+    """Run one subcommand; return its exit code.
+
+    ``loaded`` lets several calls share one load of the inputs: when it
+    holds a ``"pipeline"`` whose configuration (database order included)
+    equals this call's, that pipeline is reused; otherwise the inputs are
+    loaded and the result is stored in it. Without ``loaded`` every call
+    loads its inputs itself.
+    """
     args = build_parser().parse_args(argv)
     reject_paths: list[Path] = []
     try:
         config = build_config(args)
-        pipeline = load_pipeline(config, reject_paths)
+        pipeline = (loaded or {}).get("pipeline")
+        # Dict equality ignores key order, but the database order orders the reports.
+        if pipeline is not None and (pipeline.config, pipeline.config.db_tags) == (
+            config, config.db_tags
+        ):
+            reject_paths = pipeline.reject_paths
+        else:
+            pipeline = load_pipeline(config, reject_paths)
+            if loaded is not None:
+                loaded["pipeline"] = pipeline
         for path in reject_paths:
             print(f"wrote {path}")
         build, _ = REPORTS[args.command]

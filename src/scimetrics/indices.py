@@ -78,16 +78,17 @@ def compute_g(profile: CitationProfile) -> int:
     The profile is conceptually padded with fictitious zero-citation
     papers, so g may exceed the real paper count whenever the total
     citations allow it (g is bounded by isqrt of the citation total).
+
+    The mean of the top i papers never rises with i, so once a top-i sum
+    falls below i**2 no larger i passes. When every real paper passes,
+    the padded papers pass up to isqrt of the total.
     """
-    citations = profile.citations
-    total = sum(citations)
     running = 0
-    g = 0
-    for i in range(1, math.isqrt(total) + 1):
-        running += citations[i - 1] if i <= len(citations) else 0
-        if running >= i * i:
-            g = i
-    return g
+    for i, c in enumerate(profile.citations, 1):
+        running += c
+        if running < i * i:
+            return i - 1
+    return math.isqrt(running)
 
 
 def compute_h_cite(profile: CitationProfile) -> int:

@@ -20,6 +20,7 @@ from .indices import CitationProfile
 
 _DOI_PREFIXES = ("https://doi.org/", "http://doi.org/", "doi:")
 _DOI_SHAPE = re.compile(r"10\.\d+/.+", re.DOTALL)
+_CITATIONS_SHAPE = re.compile(r"-?[0-9]+")
 
 RECORD_COLUMNS = ("author_key", "doi", "citations")
 ROSTER_COLUMNS = (
@@ -143,15 +144,19 @@ def _iter_json_rows(text: str) -> Iterable[dict]:
 
 
 def _parse_citations(value) -> int | None:
-    """Citation count as int, or None when unparseable (bool is rejected)."""
+    """Citation count as int, or None when unparseable (bool is rejected).
+
+    A string count must be ASCII digits with an optional leading minus
+    after stripping whitespace: no other scripts' digits, no underscores.
+    """
     if isinstance(value, bool):
         return None
     if isinstance(value, int):
         return value
-    if isinstance(value, str):
+    if isinstance(value, str) and _CITATIONS_SHAPE.fullmatch(value := value.strip()):
         try:
-            return int(value.strip())
-        except ValueError:
+            return int(value)
+        except ValueError:  # more digits than the interpreter converts
             return None
     return None
 

@@ -411,13 +411,15 @@ def test_requires_exactly_two_databases(tmp_path, capsys):
     "value",
     [
         {"density_width": "abc"},
+        {"density_width": 2.5},
+        {"density_width": True},
         {"records": {"scopus": 5}},
         {"disciplines": 5},
         {"bins": 5},
         {"roster": 5},
         {"out": 5},
     ],
-    ids=["density_width", "records", "disciplines", "bins", "roster", "out"],
+    ids=["density_width", "density_width_fraction", "density_width_bool", "records", "disciplines", "bins", "roster", "out"],
 )
 def test_config_value_of_wrong_type_exits_2(value, tmp_path, capsys):
     data = write_golden_fixture(tmp_path)
@@ -484,6 +486,19 @@ def test_full_pipeline_byte_identical_across_runs(tmp_path):
     assert names_a == names_b
     for name in names_a:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+def test_plain_main_calls_reload_inputs(tmp_path):
+    data = write_golden_fixture(tmp_path)
+    out = tmp_path / "out"
+    report = out / "index_report.csv"
+    assert main(["index", *args_for(data, out)]) == 0
+    before = report.read_bytes()
+    roster = (data / "roster.csv").read_text().splitlines()
+    roster[1] = roster[1].replace("casebook", "solo")  # a1 moves discipline
+    (data / "roster.csv").write_text("\n".join(roster) + "\n")
+    assert main(["index", *args_for(data, out)]) == 0
+    assert report.read_bytes() != before
 
 
 def test_no_temp_files_left_behind(tmp_path):

@@ -7,16 +7,20 @@ content and order. Regenerate both only when a change means to alter report
 bytes, and name each changed report in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
+
+The tests at the end check that a full run loads its inputs exactly once.
 """
 
 import contextlib
 import hashlib
 import importlib.util
 import io
+import shutil
 from pathlib import Path
 
 import pytest
 
+import scimetrics.cli
 from scimetrics.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,6 +74,54 @@ def test_reports_match_golden_digests(variant, tmp_path):
     listing, stdout = run_variant(variant, tmp_path / "out")
     assert listing == (GOLDEN / f"{variant}.sha256").read_text(encoding="utf-8")
     assert stdout == (GOLDEN / f"{variant}.stdout").read_text(encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# a full run loads its inputs once, and only for itself
+# ---------------------------------------------------------------------------
+
+def count_loads(monkeypatch) -> list:
+    """Patch ``cli.load_pipeline`` to record one entry per call."""
+    calls = []
+    load = scimetrics.cli.load_pipeline
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(scimetrics.cli, "load_pipeline", counted)
+    return calls
+
+
+def test_full_run_loads_inputs_once(tmp_path, monkeypatch, capsys):
+    calls = count_loads(monkeypatch)
+    assert run_full_analysis.run(SYNTHETIC, tmp_path / "out", []) == 0
+    assert len(calls) == 1
+
+
+def test_back_to_back_runs_load_twice(tmp_path, monkeypatch, capsys):
+    calls = count_loads(monkeypatch)
+    assert run_full_analysis.run(SYNTHETIC, tmp_path / "a", []) == 0
+    assert run_full_analysis.run(SYNTHETIC, tmp_path / "a", []) == 0
+    assert len(calls) == 2
+
+
+def test_failing_family_still_names_reject_report(tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(SYNTHETIC, data)
+    roster = (data / "roster.csv").read_text(encoding="utf-8").splitlines()
+    key, *fields = roster[1].split(",")
+    fields[3] = "solo"  # discipline: this author is now alone in it
+    roster[1] = ",".join([key, *fields])
+    (data / "roster.csv").write_text("\n".join(roster) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_full_analysis.run(data, out, []) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("scimetrics: DegenerateInput: ")
+    assert err[1:] == [
+        f"scimetrics: reject report written to {out / 'rejects_scopus.csv'}",
+        "deviation failed with exit code 2",
+    ]
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -128,6 +129,29 @@ def test_profile_sorts_any_input_order():
     assert CitationProfile((3, 15, 0)).citations == (15, 3, 0)
 
 
+def test_g_of_huge_single_paper_is_fast():
+    start = time.perf_counter()
+    assert compute_g(CitationProfile((10**30,))) == 10**15
+    assert time.perf_counter() - start < 0.5
+
+
+def scan_g(counts):
+    """The isqrt(total)-step scan compute_g replaced, kept as a reference."""
+    citations = sorted(counts, reverse=True)
+    running = 0
+    g = 0
+    for i in range(1, math.isqrt(sum(citations)) + 1):
+        running += citations[i - 1] if i <= len(citations) else 0
+        if running >= i * i:
+            g = i
+    return g
+
+
+@given(st.lists(st.integers(min_value=0, max_value=300), max_size=30))
+def test_g_matches_full_scan(counts):
+    assert compute_g(CitationProfile(tuple(counts))) == scan_g(counts)
+
+
 def test_profile_rejects_negative_counts():
     with pytest.raises(ValueError):
         CitationProfile((3, -1))
@@ -140,6 +164,8 @@ def test_report_validates_consistency():
         IndexReport(h=5, g=6, h_cite=30, k=1, h_c=6)  # k = 1 never occurs
     with pytest.raises(ValueError):
         IndexReport(h=5, g=4, h_cite=30, k=0, h_c=5)  # g below h
+    with pytest.raises(ValueError):
+        IndexReport(h=1, g=1, h_cite=0, k=0, h_c=1)  # top paper below h = 1
 
 
 # ---------------------------------------------------------------------------

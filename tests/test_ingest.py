@@ -133,6 +133,26 @@ def test_reject_reasons():
     ]
 
 
+def test_citation_strings_must_be_ascii_digits():
+    data = records_csv(
+        [
+            ("a1", "10.1/a", "\u0663", "scopus"),  # Arabic-Indic three
+            ("a1", "10.1/b", "1_000", "scopus"),
+            ("a1", "10.1/c", " 7 ", "scopus"),
+            ("a1", "10.1/d", " -3", "scopus"),
+            ("a1", "10.1/e", "9" * 5000, "scopus"),  # past int()'s digit limit
+        ]
+    )
+    accepted, rejects = parse_records(data, "csv", "scopus")
+    assert [(r.doi, r.citations) for r in accepted] == [("10.1/c", 7)]
+    assert [r.reason for r in rejects] == [
+        "invalid citations",
+        "invalid citations",
+        "negative citations",
+        "invalid citations",
+    ]
+
+
 def test_missing_column_aborts():
     data = b"author_key,citations\na1,5\n"
     with pytest.raises(SchemaError):
