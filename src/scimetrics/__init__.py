@@ -44,7 +44,6 @@ from .indices import (
 )
 from .ingest import (
     AuthorProfile,
-    PublicationRecord,
     RosterEntry,
     build_profiles,
     normalize_doi,

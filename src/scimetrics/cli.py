@@ -153,10 +153,9 @@ def load_pipeline(config: RunConfig, reject_paths: list[Path] | None = None) -> 
 
     if reject_paths is None:
         reject_paths = []
-    all_records = []
+    accepted = {}
     for tag, path in config.records.items():
-        records, rejects = parse_records(path, None, tag)
-        all_records.extend(records)
+        accepted[tag], rejects = parse_records(path, None, tag)
         if rejects:
             reject_path = config.out_dir / f"rejects_{tag}.csv"
             write_csv(
@@ -171,6 +170,8 @@ def load_pipeline(config: RunConfig, reject_paths: list[Path] | None = None) -> 
         raise SchemaError("empty roster")
 
     roster_disciplines = sorted({entry.discipline for entry in roster})
+    if GLOBAL_SCOPE in (*roster_disciplines, *(config.disciplines or ())):
+        raise ConfigError(f"discipline name {GLOBAL_SCOPE!r} is reserved for the global scope")
     if config.disciplines is not None:
         declared = set(config.disciplines)
         stray = sorted({e.discipline for e in roster} - declared)
@@ -183,7 +184,7 @@ def load_pipeline(config: RunConfig, reject_paths: list[Path] | None = None) -> 
         disciplines = roster_disciplines
 
     tags = config.db_tags
-    profiles = build_profiles(all_records, roster, tags)
+    profiles = build_profiles(accepted, roster, tags)
     reports = {
         p.author_key: {tag: compute_hc(profile_to_citations(p, tag)) for tag in tags}
         for p in profiles

@@ -64,10 +64,9 @@ def _scope_dois(
         count += 1
         for tag in db_tags:
             seen = dois[tag]
-            for rec in profile.per_db_publications.get(tag, []):
-                prior = seen.get(rec.doi, -1)
-                if rec.citations > prior:
-                    seen[rec.doi] = rec.citations
+            for doi, citations in profile.per_db_publications.get(tag, {}).items():
+                if citations > seen.get(doi, -1):
+                    seen[doi] = citations
     return count, dois
 
 

@@ -1,8 +1,10 @@
 """Publication-record ingestion.
 
-Parses CSV/JSON exports from two citation databases, normalizes DOIs,
-filters unusable rows into an auditable reject list, and assembles one
-profile per roster author with a publication list per database.
+Parses CSV/JSON exports from two citation databases into one
+``author_key -> {doi: max_citations}`` map per database, normalizing DOIs
+and filtering unusable rows into an auditable reject list, then attaches
+each roster author's maps to one profile per author. The per-database map
+is the one place where duplicate (author, doi) rows merge.
 """
 
 from __future__ import annotations
@@ -12,14 +14,17 @@ import io
 import json
 import os
 import re
-from dataclasses import dataclass, field, replace
-from typing import IO, Iterable
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import IO, Iterable, Iterator, Mapping
 
 from .errors import MalformedDoi, SchemaError, UnknownAuthor
 from .indices import CitationProfile
 
-_DOI_PREFIXES = ("https://doi.org/", "http://doi.org/", "doi:")
-_DOI_SHAPE = re.compile(r"10\.\d+/.+", re.DOTALL)
+_DOI_PREFIX = re.compile(r"https?://doi\.org/|doi:")
+# ASCII digits after "10.", then a suffix with no whitespace and no control
+# character (C0, DEL or C1).
+_DOI_SHAPE = re.compile(r"10\.[0-9]+/[^\s\x00-\x1f\x7f-\x9f]+")
 _CITATIONS_SHAPE = re.compile(r"-?[0-9]+")
 
 RECORD_COLUMNS = ("author_key", "doi", "citations")
@@ -32,15 +37,8 @@ ROSTER_COLUMNS = (
     "display_name",
 )
 
-
-@dataclass(frozen=True)
-class PublicationRecord:
-    """One publication of one author as seen by one database."""
-
-    doi: str
-    citations: int
-    source: str
-    author_key: str
+# One database's accepted records: author_key -> {doi: max citations}.
+DoiMap = dict[str, dict[str, int]]
 
 
 @dataclass(frozen=True)
@@ -56,34 +54,35 @@ class Reject:
 class RosterEntry:
     author_key: str
     discipline: str
-    display_name: str = ""
-    external_ids: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass
 class AuthorProfile:
-    """One roster author with a publication list per database tag."""
+    """One roster author with a doi -> citations map per database tag."""
 
     author_key: str
     discipline: str
-    external_ids: dict[str, str]
-    per_db_publications: dict[str, list[PublicationRecord]]
+    per_db_publications: dict[str, dict[str, int]]
+
+
+def _canonical_doi(raw: str) -> str | None:
+    """``raw`` in canonical form, or None when it is not a DOI."""
+    doi = raw.strip()
+    lowered = doi.lower()
+    if prefix := _DOI_PREFIX.match(lowered):
+        lowered = doi[prefix.end() :].strip().lower()
+    return lowered if _DOI_SHAPE.fullmatch(lowered) else None
 
 
 def normalize_doi(raw: str) -> str:
     """Canonical lowercase DOI: scheme/URL prefix stripped, whitespace trimmed.
 
     Raises MalformedDoi unless the result has the ``10.<digits>/<suffix>``
-    shape. Idempotent on its own output.
+    shape, with ASCII digits and a suffix free of whitespace and control
+    characters. Idempotent on its own output.
     """
-    doi = raw.strip()
-    lowered = doi.lower()
-    for prefix in _DOI_PREFIXES:
-        if lowered.startswith(prefix):
-            doi = doi[len(prefix) :]
-            break
-    doi = doi.strip().lower()
-    if not _DOI_SHAPE.fullmatch(doi):
+    doi = _canonical_doi(raw)
+    if doi is None:
         raise MalformedDoi(f"not a DOI: {raw!r}")
     return doi
 
@@ -115,32 +114,56 @@ def _infer_format(data, fmt: str | None) -> str:
     return "csv"
 
 
-def _iter_csv_rows(text: str, required: Iterable[str]) -> Iterable[dict]:
-    reader = csv.DictReader(io.StringIO(text, newline=""))
+def _rows(
+    data: bytes | str | os.PathLike | IO[bytes],
+    fmt: str | None,
+    required: tuple[str, ...],
+    fields: tuple[str, ...],
+) -> Iterator[tuple]:
+    """The ``fields`` of every data row of one input, as a tuple per row.
+
+    JSON must be an array of objects; an absent key reads None. A CSV
+    header must name every ``required`` column. Column positions are
+    resolved once from the header, where a repeated name means its last
+    column. A blank line is skipped and takes no row number, a missing
+    field reads "", and fields past the header are ignored. ``fields``
+    holds at least two names, so that ``itemgetter`` returns a tuple.
+    """
+    text = _read_text(data)
+    if _infer_format(data, fmt) == "json":
+        for item in _json_objects(text):
+            yield tuple(map(item.get, fields))
+        return
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        header = reader.fieldnames
+        header = next(reader, None)
         if header is None:
             raise SchemaError("empty input: no header row")
-        missing = [col for col in required if col not in header]
+        position = {name: i for i, name in enumerate(header)}
+        missing = [col for col in required if col not in position]
         if missing:
             raise SchemaError(f"missing required column(s): {', '.join(missing)}")
+        # A field the header lacks reads the "" appended to every row.
+        pick = itemgetter(*(position.get(name, -1) for name in fields))
+        width = len(header)
         for row in reader:
-            yield {k: (v or "") for k, v in row.items() if k is not None}
+            if row:
+                if len(row) < width:
+                    row += [""] * (width - len(row))
+                row.append("")
+                yield pick(row)
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise SchemaError(f"invalid CSV at line {reader.line_num}: {exc}") from exc
 
 
-def _iter_json_rows(text: str) -> Iterable[dict]:
+def _json_objects(text: str) -> list[dict]:
     try:
         payload = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too-long ints, deep nesting
         raise SchemaError(f"invalid JSON: {exc}") from exc
-    if not isinstance(payload, list):
+    if not isinstance(payload, list) or not all(isinstance(item, dict) for item in payload):
         raise SchemaError("JSON input must be an array of objects")
-    for item in payload:
-        if not isinstance(item, dict):
-            raise SchemaError("JSON input must be an array of objects")
-        yield item
+    return payload
 
 
 def _parse_citations(value) -> int | None:
@@ -149,15 +172,15 @@ def _parse_citations(value) -> int | None:
     A string count must be ASCII digits with an optional leading minus
     after stripping whitespace: no other scripts' digits, no underscores.
     """
-    if isinstance(value, bool):
+    if isinstance(value, str):
+        if _CITATIONS_SHAPE.fullmatch(value := value.strip()):
+            try:
+                return int(value)
+            except ValueError:  # more digits than the interpreter converts
+                pass
         return None
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str) and _CITATIONS_SHAPE.fullmatch(value := value.strip()):
-        try:
-            return int(value)
-        except ValueError:  # more digits than the interpreter converts
-            return None
     return None
 
 
@@ -165,75 +188,53 @@ def parse_records(
     data: bytes | str | os.PathLike | IO[bytes],
     fmt: str | None = None,
     source: str = "scopus",
-) -> tuple[list[PublicationRecord], list[Reject]]:
-    """Parse one database export into accepted records plus a reject list.
+) -> tuple[DoiMap, list[Reject]]:
+    """Parse one database export into its doi map plus a reject list.
 
     ``data`` is a path, raw bytes, or a readable binary stream; ``fmt`` is
     "csv" or "json" (inferred from a path suffix when None). ``source`` is
-    the database tag stamped onto every accepted record.
+    the database tag the file was registered under.
 
-    Rows without a usable author key, DOI, or citation count are rejected
-    with a reason and their 1-based data-row number. Duplicate
-    (author_key, doi) rows collapse onto the first occurrence keeping the
-    maximum citation count; the later rows land in the reject list, so
-    len(accepted) + len(rejected) always equals the input row count.
+    The accepted records come back as ``{author_key: {doi: citations}}``,
+    in order of each author's and each DOI's first accepted row. Rows
+    without a usable author key, DOI, or citation count, or whose
+    ``source`` names another database, are rejected with a reason and
+    their 1-based data-row number. A repeated (author_key, doi) keeps the
+    maximum citation count and each later row is rejected as a duplicate,
+    so the accepted (author, doi) pairs plus the rejects always equal the
+    input row count.
     """
-    text = _read_text(data)
-    fmt = _infer_format(data, fmt)
-    if fmt == "csv":
-        rows = _iter_csv_rows(text, RECORD_COLUMNS)
-    else:
-        rows = _iter_json_rows(text)
-
-    accepted: list[PublicationRecord] = []
+    accepted: DoiMap = {}
     rejects: list[Reject] = []
-    position: dict[tuple[str, str], int] = {}
-
-    for rownum, row in enumerate(rows, 1):
-        author_key = str(row.get("author_key") or "").strip()
-
-        def reject(reason: str) -> None:
-            rejects.append(Reject(row=rownum, author_key=author_key, reason=reason))
-
+    rows = _rows(data, fmt, RECORD_COLUMNS, (*RECORD_COLUMNS, "source"))
+    for rownum, (author_key, raw_doi, raw_citations, row_source) in enumerate(rows, 1):
+        author_key = str(author_key or "").strip()
+        raw_doi = "" if raw_doi is None else str(raw_doi).strip()
+        doi = _canonical_doi(raw_doi)
+        citations = _parse_citations(raw_citations)
+        row_source = str(row_source or "").strip()
         if not author_key:
-            reject("missing author_key")
-            continue
-        raw_doi = row.get("doi")
-        raw_doi = str(raw_doi).strip() if raw_doi is not None else ""
-        if not raw_doi:
-            reject("missing doi")
-            continue
-        try:
-            doi = normalize_doi(raw_doi)
-        except MalformedDoi:
-            reject("malformed doi")
-            continue
-        citations = _parse_citations(row.get("citations"))
-        if citations is None:
-            reject("invalid citations")
-            continue
-        if citations < 0:
-            reject("negative citations")
-            continue
-        row_source = str(row.get("source") or "").strip()
-        if row_source and row_source != source:
-            reject("source mismatch")
-            continue
-
-        key = (author_key, doi)
-        if key in position:
-            idx = position[key]
-            prior = accepted[idx]
-            if citations > prior.citations:
-                accepted[idx] = replace(prior, citations=citations)
-            reject("duplicate doi")
-            continue
-        position[key] = len(accepted)
-        accepted.append(
-            PublicationRecord(
-                doi=doi, citations=citations, source=source, author_key=author_key
-            )
-        )
+            reason = "missing author_key"
+        elif not raw_doi:
+            reason = "missing doi"
+        elif doi is None:
+            reason = "malformed doi"
+        elif citations is None:
+            reason = "invalid citations"
+        elif citations < 0:
+            reason = "negative citations"
+        elif row_source and row_source != source:
+            reason = "source mismatch"
+        else:
+            pubs = accepted.setdefault(author_key, {})
+            prior = pubs.get(doi)
+            if prior is None:
+                pubs[doi] = citations
+                continue
+            if citations > prior:
+                pubs[doi] = citations
+            reason = "duplicate doi"
+        rejects.append(Reject(rownum, author_key, reason))
     return accepted, rejects
 
 
@@ -245,18 +246,12 @@ def parse_roster(
     Requires the full roster schema in the header; author_key and
     discipline must be non-empty per row, and author keys must be unique.
     """
-    text = _read_text(data)
-    fmt = _infer_format(data, fmt)
-    if fmt == "csv":
-        rows = _iter_csv_rows(text, ROSTER_COLUMNS)
-    else:
-        rows = _iter_json_rows(text)
-
     entries: list[RosterEntry] = []
     seen: set[str] = set()
-    for rownum, row in enumerate(rows, 1):
-        author_key = str(row.get("author_key") or "").strip()
-        discipline = str(row.get("discipline") or "").strip()
+    rows = _rows(data, fmt, ROSTER_COLUMNS, ("author_key", "discipline"))
+    for rownum, (author_key, discipline) in enumerate(rows, 1):
+        author_key = str(author_key or "").strip()
+        discipline = str(discipline or "").strip()
         if not author_key:
             raise SchemaError(f"roster row {rownum}: missing author_key")
         if not discipline:
@@ -264,64 +259,42 @@ def parse_roster(
         if author_key in seen:
             raise SchemaError(f"roster row {rownum}: duplicate author_key {author_key!r}")
         seen.add(author_key)
-        external_ids = {
-            scheme: str(row.get(scheme) or "").strip()
-            for scheme in ("orcid", "researcher_id", "scopus_id")
-            if str(row.get(scheme) or "").strip()
-        }
-        entries.append(
-            RosterEntry(
-                author_key=author_key,
-                discipline=discipline,
-                display_name=str(row.get("display_name") or "").strip(),
-                external_ids=external_ids,
-            )
-        )
+        entries.append(RosterEntry(author_key, discipline))
     return entries
 
 
 def build_profiles(
-    records: Iterable[PublicationRecord],
+    accepted: Mapping[str, DoiMap],
     roster: Iterable[RosterEntry],
     db_tags: tuple[str, str],
 ) -> list[AuthorProfile]:
-    """Group accepted records by (author, database) over the roster.
+    """One profile per roster author, holding its doi map per database.
 
-    Every roster author appears exactly once, in roster order, with one
-    (possibly empty) publication list per database tag. A record whose
-    author_key is not in the roster raises UnknownAuthor; a record whose
-    source is not a run tag raises SchemaError. DOI uniqueness within one
-    database list is enforced with the same max-citations merge used at
-    parse time.
+    ``accepted`` maps each database tag to that database's
+    ``parse_records`` map. Every roster author appears exactly once, in
+    roster order, with one (possibly empty) map per database tag; the maps
+    are attached as they are, without a second merge. An author key that
+    is not in the roster raises UnknownAuthor (the first such key in tag,
+    then first-accepted-row order); a tag that is not a run tag raises
+    SchemaError.
     """
-    profiles: dict[str, AuthorProfile] = {}
-    for entry in roster:
-        profiles[entry.author_key] = AuthorProfile(
-            author_key=entry.author_key,
-            discipline=entry.discipline,
-            external_ids=dict(entry.external_ids),
-            per_db_publications={tag: [] for tag in db_tags},
+    profiles = {
+        entry.author_key: AuthorProfile(
+            entry.author_key, entry.discipline, {tag: {} for tag in db_tags}
         )
-    position: dict[tuple[str, str, str], int] = {}
-    for rec in records:
-        profile = profiles.get(rec.author_key)
-        if profile is None:
-            raise UnknownAuthor(f"record references unknown author_key {rec.author_key!r}")
-        if rec.source not in profile.per_db_publications:
-            raise SchemaError(f"record source {rec.source!r} is not a run database tag")
-        pubs = profile.per_db_publications[rec.source]
-        key = (rec.author_key, rec.source, rec.doi)
-        if key in position:
-            idx = position[key]
-            if rec.citations > pubs[idx].citations:
-                pubs[idx] = rec
-            continue
-        position[key] = len(pubs)
-        pubs.append(rec)
+        for entry in roster
+    }
+    for tag, by_author in accepted.items():
+        if tag not in db_tags:
+            raise SchemaError(f"record source {tag!r} is not a run database tag")
+        for author_key, pubs in by_author.items():
+            profile = profiles.get(author_key)
+            if profile is None:
+                raise UnknownAuthor(f"record references unknown author_key {author_key!r}")
+            profile.per_db_publications[tag] = pubs
     return list(profiles.values())
 
 
 def profile_to_citations(profile: AuthorProfile, source: str) -> CitationProfile:
     """Citation counts of one database's publications, as a CitationProfile."""
-    pubs = profile.per_db_publications.get(source, [])
-    return CitationProfile(tuple(rec.citations for rec in pubs))
+    return CitationProfile(tuple(profile.per_db_publications.get(source, {}).values()))

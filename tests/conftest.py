@@ -2,6 +2,8 @@ import pytest
 
 from scimetrics.indices import CitationProfile
 
+pytest_plugins = ["pytester"]
+
 # Three demonstration profiles: a top paper that is not dominant (k=0),
 # moderately dominant (k=2), and strongly dominant (k=3).
 CASE_NO_WEIGHT = (15, 13, 10, 7, 3, 2, 1, 1, 1, 0)

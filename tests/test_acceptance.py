@@ -30,7 +30,7 @@ from scimetrics.indices import (
     compute_hc,
     compute_weight_k,
 )
-from scimetrics.ingest import AuthorProfile, PublicationRecord
+from scimetrics.ingest import AuthorProfile
 from scimetrics.reports import read_csv
 
 ROOT = Path(__file__).parent.parent
@@ -211,16 +211,12 @@ def _random_two_db_profiles(rng):
     for a in range(rng.randint(1, 10)):
         per_db = {}
         for tag in DB_TAGS:
-            per_db[tag] = [
-                PublicationRecord(
-                    doi=f"10.1/d{rng.randrange(40)}",
-                    citations=rng.randrange(30),
-                    source=tag,
-                    author_key=f"a{a}",
-                )
-                for _ in range(rng.randint(0, 15))
-            ]
-        profiles.append(AuthorProfile(f"a{a}", "synthetic", {}, per_db))
+            pubs = per_db[tag] = {}
+            for _ in range(rng.randint(0, 15)):
+                doi = f"10.1/d{rng.randrange(40)}"
+                citations = rng.randrange(30)
+                pubs[doi] = max(citations, pubs.get(doi, -1))
+        profiles.append(AuthorProfile(f"a{a}", "synthetic", per_db))
     return profiles
 
 
@@ -299,13 +295,9 @@ def _crafted_cohort():
     for i, (h, top) in enumerate(layout):
         counts = (top,) + (h,) * (h - 1) + (0,)
         pubs = {
-            tag: [
-                PublicationRecord(f"10.1/x{i}.{j}", c, tag, f"a{i:02d}")
-                for j, c in enumerate(counts)
-            ]
-            for tag in DB_TAGS
+            tag: {f"10.1/x{i}.{j}": c for j, c in enumerate(counts)} for tag in DB_TAGS
         }
-        profiles.append(AuthorProfile(f"a{i:02d}", "synthetic", {}, pubs))
+        profiles.append(AuthorProfile(f"a{i:02d}", "synthetic", pubs))
     return cohort_from_profiles(profiles, "synthetic", DB_TAGS)
 
 

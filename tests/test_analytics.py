@@ -25,7 +25,7 @@ from scimetrics.analytics import (
 )
 from scimetrics.errors import DegenerateInput
 from scimetrics.indices import CitationProfile, IndexReport, compute_hc
-from scimetrics.ingest import AuthorProfile, PublicationRecord
+from scimetrics.ingest import AuthorProfile
 
 DB_TAGS = ("scopus", "wos")
 
@@ -469,29 +469,24 @@ def test_build_cohort_rows_follow_first_db_h_rank():
 
 
 def test_cohort_from_profiles_computes_reports():
-    def pubs(author, source, counts):
-        return [
-            PublicationRecord(f"10.1/{author}.{i}", c, source, author)
-            for i, c in enumerate(counts)
-        ]
+    def pubs(author, counts):
+        return {f"10.1/{author}.{i}": c for i, c in enumerate(counts)}
 
     profiles = [
         AuthorProfile(
             "a0",
             "physics",
-            {},
             {
-                "scopus": pubs("a0", "scopus", [15, 13, 10, 7, 3, 2, 1, 1, 1, 0]),
-                "wos": pubs("a0", "wos", [10]),
+                "scopus": pubs("a0", [15, 13, 10, 7, 3, 2, 1, 1, 1, 0]),
+                "wos": pubs("a0", [10]),
             },
         ),
         AuthorProfile(
             "a1",
             "physics",
-            {},
-            {"scopus": pubs("a1", "scopus", [65, 9, 8, 7, 5, 5, 2, 2, 1, 0]), "wos": []},
+            {"scopus": pubs("a1", [65, 9, 8, 7, 5, 5, 2, 2, 1, 0]), "wos": {}},
         ),
-        AuthorProfile("b0", "biology", {}, {"scopus": [], "wos": []}),
+        AuthorProfile("b0", "biology", {"scopus": {}, "wos": {}}),
     ]
     cohort = cohort_from_profiles(profiles, "physics", DB_TAGS)
     assert len(cohort.rows) == 2

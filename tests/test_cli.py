@@ -352,6 +352,21 @@ def test_declared_disciplines_must_cover_roster(tmp_path, capsys):
     assert "casebook" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["roster", "declared"])
+def test_global_scope_name_is_reserved(where, tmp_path, capsys):
+    data = write_golden_fixture(tmp_path)
+    extra = ("--disciplines", "casebook,all")
+    if where == "roster":
+        roster = (data / "roster.csv").read_text()
+        (data / "roster.csv").write_text(roster.replace(",casebook,", ",all,"))
+        extra = ()
+    out = tmp_path / "out"
+    assert main(["index", *args_for(data, out, *extra)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'all' is reserved" in err
+    assert not (out / "index_stats.csv").exists()
+
+
 def test_config_file_with_flag_override(tmp_path):
     data = write_golden_fixture(tmp_path)
     cfg = {

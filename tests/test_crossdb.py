@@ -8,23 +8,16 @@ from hypothesis import strategies as st
 
 from scimetrics.crossdb import classify_overlap, overlap_proportions
 from scimetrics.errors import EmptyScope, UnknownDiscipline
-from scimetrics.ingest import AuthorProfile, PublicationRecord
+from scimetrics.ingest import AuthorProfile
 
 DB_TAGS = ("scopus", "wos")
 
 
 def make_profile(author, discipline, scopus=(), wos=()):
-    def pubs(source, items):
-        return [
-            PublicationRecord(doi=doi, citations=c, source=source, author_key=author)
-            for doi, c in items
-        ]
-
     return AuthorProfile(
         author_key=author,
         discipline=discipline,
-        external_ids={},
-        per_db_publications={"scopus": pubs("scopus", scopus), "wos": pubs("wos", wos)},
+        per_db_publications={"scopus": dict(scopus), "wos": dict(wos)},
     )
 
 
@@ -117,13 +110,10 @@ def _random_profiles(rng, n_records=200):
         if author not in profiles:
             profiles[author] = make_profile(author, discipline)
         source = rng.choice(DB_TAGS)
-        rec = PublicationRecord(
-            doi=f"10.1/d{rng.randrange(60)}",
-            citations=rng.randrange(20),
-            source=source,
-            author_key=author,
-        )
-        profiles[author].per_db_publications[source].append(rec)
+        doi = f"10.1/d{rng.randrange(60)}"
+        citations = rng.randrange(20)
+        pubs = profiles[author].per_db_publications[source]
+        pubs[doi] = max(citations, pubs.get(doi, -1))
     return list(profiles.values())
 
 
@@ -134,7 +124,7 @@ def test_against_set_oracle():
     oracle_sets = {tag: set() for tag in DB_TAGS}
     for p in profiles:
         for tag in DB_TAGS:
-            oracle_sets[tag].update(r.doi for r in p.per_db_publications[tag])
+            oracle_sets[tag].update(p.per_db_publications[tag])
     assert report.common_pubs == len(oracle_sets["scopus"] & oracle_sets["wos"])
     for tag, other in (("scopus", "wos"), ("wos", "scopus")):
         assert report.per_db[tag].total_pubs == len(oracle_sets[tag])

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scimetrics.errors import MalformedDoi, SchemaError, UnknownAuthor
 from scimetrics.ingest import (
     AuthorProfile,
-    PublicationRecord,
     RosterEntry,
     build_profiles,
     normalize_doi,
@@ -26,6 +25,11 @@ def records_csv(rows):
     lines = ["author_key,doi,citations,source"]
     lines += [",".join(str(v) for v in row) for row in rows]
     return ("\n".join(lines) + "\n").encode()
+
+
+def pairs(accepted):
+    """{(author_key, doi): citations} of a parse_records doi map."""
+    return {(a, doi): c for a, pubs in accepted.items() for doi, c in pubs.items()}
 
 
 def roster_csv(rows):
@@ -54,11 +58,33 @@ def test_normalize_doi(raw, expected):
 
 @pytest.mark.parametrize(
     "raw",
-    ["not-a-doi", "11.1000/x", "10./x", "10.1000", "10.1000/", "doi:", "  "],
+    [
+        "not-a-doi",
+        "11.1000/x",
+        "10./x",
+        "10.1000",
+        "10.1000/",
+        "doi:",
+        "  ",
+        "10.1/a\x00b",
+        "10.1/a b",
+        "10.1/a\u2028b",  # line separator
+        "10.1/a\tb",
+        "10.1/a\x85b",  # C1 next-line
+        "10.1/a\x7fb",
+        "10.\u0663\u0664/x",  # Arabic-Indic digits
+    ],
 )
 def test_normalize_doi_rejects_bad_shapes(raw):
     with pytest.raises(MalformedDoi):
         normalize_doi(raw)
+
+
+def test_doi_with_control_or_space_is_rejected_as_malformed():
+    data = b"author_key,doi,citations\na1,10.1/a\x00b,3\na1,10.1/a b,4\na1,10.1/\xc3\xa9,5\n"
+    accepted, rejects = parse_records(data, "csv", "scopus")
+    assert accepted == {"a1": {"10.1/é": 5}}
+    assert [(r.row, r.reason) for r in rejects] == [(1, "malformed doi"), (2, "malformed doi")]
 
 
 @given(
@@ -83,13 +109,13 @@ def test_missing_doi_rejected_with_row_number():
         ]
     )
     accepted, rejects = parse_records(data, "csv", "scopus")
-    assert len(accepted) == 2
+    assert len(pairs(accepted)) == 2
     assert [(r.row, r.reason) for r in rejects] == [(2, "missing doi")]
 
 
 def test_empty_file_with_header():
     accepted, rejects = parse_records(records_csv([]), "csv", "scopus")
-    assert accepted == [] and rejects == []
+    assert accepted == {} and rejects == []
 
 
 def test_duplicate_rows_collapse_to_max():
@@ -103,13 +129,12 @@ def test_duplicate_rows_collapse_to_max():
         ]
     )
     accepted, rejects = parse_records(data, "csv", "scopus")
-    assert len(accepted) + len(rejects) == 5
+    assert len(pairs(accepted)) + len(rejects) == 5
     assert [(r.row, r.reason) for r in rejects] == [
         (3, "duplicate doi"),
         (5, "duplicate doi"),
     ]
-    by_key = {(r.author_key, r.doi): r.citations for r in accepted}
-    assert by_key == {("a1", "10.1/x"): 9, ("a1", "10.1/y"): 1, ("a2", "10.1/x"): 2}
+    assert pairs(accepted) == {("a1", "10.1/x"): 9, ("a1", "10.1/y"): 1, ("a2", "10.1/x"): 2}
 
 
 def test_reject_reasons():
@@ -123,7 +148,7 @@ def test_reject_reasons():
         ]
     )
     accepted, rejects = parse_records(data, "csv", "scopus")
-    assert accepted == []
+    assert accepted == {}
     assert [r.reason for r in rejects] == [
         "missing author_key",
         "malformed doi",
@@ -144,13 +169,59 @@ def test_citation_strings_must_be_ascii_digits():
         ]
     )
     accepted, rejects = parse_records(data, "csv", "scopus")
-    assert [(r.doi, r.citations) for r in accepted] == [("10.1/c", 7)]
+    assert accepted == {"a1": {"10.1/c": 7}}
     assert [r.reason for r in rejects] == [
         "invalid citations",
         "invalid citations",
         "negative citations",
         "invalid citations",
     ]
+
+
+# CSV row semantics: stated through reject reasons and row numbers only, so
+# they hold whatever shape the accepted records take.
+
+def test_blank_line_is_skipped_and_takes_no_row_number():
+    data = b"author_key,doi,citations\na1,,5\n\na2,,5\n\n"
+    _, rejects = parse_records(data, "csv", "scopus")
+    assert [(r.row, r.author_key, r.reason) for r in rejects] == [
+        (1, "a1", "missing doi"),
+        (2, "a2", "missing doi"),
+    ]
+
+
+def test_short_row_reads_missing_fields_as_empty():
+    data = b"author_key,doi,citations\na1,10.1/x\na2\na3,10.1/y,\n"
+    _, rejects = parse_records(data, "csv", "scopus")
+    assert [(r.row, r.reason) for r in rejects] == [
+        (1, "invalid citations"),
+        (2, "missing doi"),
+        (3, "invalid citations"),
+    ]
+
+
+def test_extra_fields_are_ignored():
+    data = b"author_key,doi,citations\na1,10.1/x,5,wos,-1\na1,10.1/y,2,,junk\n"
+    _, rejects = parse_records(data, "csv", "scopus")
+    assert rejects == []
+
+
+def test_repeated_header_column_last_one_wins():
+    data = b"author_key,citations,doi,citations\na1,-1,10.1/x,5\na1,5,10.1/y,-1\n"
+    _, rejects = parse_records(data, "csv", "scopus")
+    assert [(r.row, r.reason) for r in rejects] == [(2, "negative citations")]
+
+
+def test_missing_optional_source_column_is_accepted():
+    data = b"doi,citations,author_key\n10.1/x,5,a1\n10.1/y,0,a1\n"
+    _, rejects = parse_records(data, "csv", "wos")
+    assert rejects == []
+
+
+def test_field_over_csv_size_limit_is_schema_error():
+    data = b"author_key,doi,citations\na1,10.1/" + b"x" * 140_000 + b",5\n"
+    with pytest.raises(SchemaError, match="invalid CSV"):
+        parse_records(data, "csv", "scopus")
 
 
 def test_missing_column_aborts():
@@ -171,7 +242,7 @@ def test_json_records_mirror_csv():
         {"author_key": "a2", "citations": 2},
     ]
     accepted, rejects = parse_records(json.dumps(payload).encode(), "json", "scopus")
-    assert [(r.doi, r.citations) for r in accepted] == [("10.1/x", 5), ("10.1/y", 2)]
+    assert accepted == {"a1": {"10.1/x": 5, "10.1/y": 2}}
     assert [(r.row, r.reason) for r in rejects] == [(3, "missing doi")]
 
 
@@ -192,7 +263,7 @@ def test_parse_from_path(tmp_path):
     json_path = tmp_path / "records.json"
     json_path.write_text(json.dumps([{"author_key": "a1", "doi": "10.1/x", "citations": 1}]))
     accepted, _ = parse_records(json_path, None, "scopus")
-    assert accepted[0].citations == 1
+    assert accepted == {"a1": {"10.1/x": 1}}
 
 
 def test_parse_is_deterministic():
@@ -216,7 +287,7 @@ rows_strategy = st.lists(
 @given(rows_strategy)
 def test_conservation(rows):
     accepted, rejects = parse_records(records_csv(rows), "csv", "scopus")
-    assert len(accepted) + len(rejects) == len(rows)
+    assert len(pairs(accepted)) + len(rejects) == len(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +302,7 @@ def test_parse_roster():
         ]
     )
     roster = parse_roster(data)
-    assert roster[0] == RosterEntry(
-        author_key="a1",
-        discipline="physics",
-        display_name="Author One",
-        external_ids={"orcid": "0000-0001", "researcher_id": "R-1", "scopus_id": "7001"},
-    )
-    assert roster[1].external_ids == {}
+    assert roster == [RosterEntry("a1", "physics"), RosterEntry("a2", "physics")]
 
 
 def test_roster_schema_errors():
@@ -261,61 +326,48 @@ def _roster():
     ]
 
 
-def _rec(author, doi, citations, source):
-    return PublicationRecord(doi=doi, citations=citations, source=source, author_key=author)
-
-
 def test_build_profiles_groups_records():
-    records = [
-        _rec("a1", "10.1/a", 3, "scopus"),
-        _rec("a1", "10.1/b", 1, "scopus"),
-        _rec("a1", "10.1/a", 2, "wos"),
-        _rec("a2", "10.1/c", 0, "scopus"),
-        _rec("a2", "10.1/c", 1, "wos"),
-        _rec("a2", "10.1/d", 9, "wos"),
-    ]
-    profiles = build_profiles(records, _roster(), DB_TAGS)
+    accepted = {
+        "scopus": {"a1": {"10.1/a": 3, "10.1/b": 1}, "a2": {"10.1/c": 0}},
+        "wos": {"a1": {"10.1/a": 2}, "a2": {"10.1/c": 1, "10.1/d": 9}},
+    }
+    profiles = build_profiles(accepted, _roster(), DB_TAGS)
     assert [p.author_key for p in profiles] == ["a1", "a2", "a3"]
     a1, a2, a3 = profiles
     assert len(a1.per_db_publications["scopus"]) == 2
     assert len(a1.per_db_publications["wos"]) == 1
     assert len(a2.per_db_publications["wos"]) == 2
-    assert a3.per_db_publications == {"scopus": [], "wos": []}
+    assert a3.per_db_publications == {"scopus": {}, "wos": {}}
     total = sum(len(p.per_db_publications[t]) for p in profiles for t in DB_TAGS)
-    assert total == len(records)
+    assert total == 6
 
 
 def test_build_profiles_unknown_author():
     with pytest.raises(UnknownAuthor, match="a9"):
-        build_profiles([_rec("a9", "10.1/a", 1, "scopus")], _roster(), DB_TAGS)
+        build_profiles({"scopus": {"a9": {"10.1/a": 1}}}, _roster(), DB_TAGS)
+
+
+def test_build_profiles_names_first_unknown_author():
+    accepted = {
+        "scopus": {"a1": {"10.1/a": 1}, "x2": {"10.1/b": 1}, "x1": {"10.1/c": 1}},
+        "wos": {"x0": {"10.1/a": 1}},
+    }
+    with pytest.raises(UnknownAuthor, match="'x2'"):
+        build_profiles(accepted, _roster(), DB_TAGS)
 
 
 def test_build_profiles_unknown_source():
     with pytest.raises(SchemaError):
-        build_profiles([_rec("a1", "10.1/a", 1, "dimensions")], _roster(), DB_TAGS)
-
-
-def test_build_profiles_merges_cross_file_duplicates():
-    records = [
-        _rec("a1", "10.1/a", 3, "scopus"),
-        _rec("a1", "10.1/a", 8, "scopus"),
-    ]
-    profiles = build_profiles(records, _roster(), DB_TAGS)
-    assert [r.citations for r in profiles[0].per_db_publications["scopus"]] == [8]
+        build_profiles({"dimensions": {"a1": {"10.1/a": 1}}}, _roster(), DB_TAGS)
 
 
 def test_profile_to_citations_sorted():
     profile = AuthorProfile(
         author_key="a1",
         discipline="physics",
-        external_ids={},
         per_db_publications={
-            "scopus": [
-                _rec("a1", "10.1/a", 3, "scopus"),
-                _rec("a1", "10.1/b", 15, "scopus"),
-                _rec("a1", "10.1/c", 0, "scopus"),
-            ],
-            "wos": [],
+            "scopus": {"10.1/a": 3, "10.1/b": 15, "10.1/c": 0},
+            "wos": {},
         },
     )
     assert profile_to_citations(profile, "scopus").citations == (15, 3, 0)
@@ -325,7 +377,7 @@ def test_profile_to_citations_sorted():
 
 @given(st.lists(st.integers(min_value=0, max_value=1000), max_size=100))
 def test_profile_to_citations_preserves_multiset(counts):
-    pubs = [_rec("a1", f"10.1/p{i}", c, "scopus") for i, c in enumerate(counts)]
-    profile = AuthorProfile("a1", "physics", {}, {"scopus": pubs, "wos": []})
+    pubs = {f"10.1/p{i}": c for i, c in enumerate(counts)}
+    profile = AuthorProfile("a1", "physics", {"scopus": pubs, "wos": {}})
     extracted = profile_to_citations(profile, "scopus").citations
     assert Counter(extracted) == Counter(counts)
