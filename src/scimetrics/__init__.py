@@ -12,7 +12,6 @@ from .analytics import (
     CohortTable,
     bin_proportions,
     build_cohort,
-    cohort_from_profiles,
     density_series,
     diff_sd,
     fractional_ranks,

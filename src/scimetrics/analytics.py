@@ -11,11 +11,10 @@ import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import DegenerateInput
-from .indices import IndexReport, compute_hc
-from .ingest import AuthorProfile, profile_to_citations
+from .indices import IndexReport
 
 RANK_KEYS: dict[str, Callable[[IndexReport], int]] = {
     "h": lambda r: r.h,
@@ -170,22 +169,6 @@ def build_cohort(
     return CohortTable(discipline=discipline, db_tags=db_tags, rows=rows)
 
 
-def cohort_from_profiles(
-    profiles: Iterable[AuthorProfile], discipline: str, db_tags: tuple[str, str]
-) -> CohortTable:
-    """Compute every author's per-db index reports and build the cohort."""
-    reports = {
-        p.author_key: {
-            tag: compute_hc(profile_to_citations(p, tag)) for tag in db_tags
-        }
-        for p in profiles
-        if p.discipline == discipline
-    }
-    if not reports:
-        raise DegenerateInput(f"no authors in discipline {discipline!r}")
-    return build_cohort(discipline, reports, db_tags)
-
-
 def bin_proportions(values: Sequence[int], bins: BinSpec) -> BinnedCounts:
     """Counts and fractions of values per bin; fractions sum to 1."""
     if not values:
@@ -250,13 +233,12 @@ def per_bin_correlation(
     Bins with fewer than two authors, or with a constant variable, yield
     None (rendered as "-" in reports).
     """
+    per_bin: list[list[tuple[int, int]]] = [[] for _ in range(len(bins))]
+    for row in cohort.rows:
+        r = row.reports[db]
+        per_bin[bins.index_of(r.h)].append((r.h, r.h_c))
     out: list[float | None] = []
-    for bi in range(len(bins)):
-        pairs = [
-            (row.reports[db].h, row.reports[db].h_c)
-            for row in cohort.rows
-            if bins.index_of(row.reports[db].h) == bi
-        ]
+    for pairs in per_bin:
         try:
             out.append(spearman_rho(pairs))
         except DegenerateInput:

@@ -158,11 +158,8 @@ def load_pipeline(config: RunConfig, reject_paths: list[Path] | None = None) -> 
         accepted[tag], rejects = parse_records(path, None, tag)
         if rejects:
             reject_path = config.out_dir / f"rejects_{tag}.csv"
-            write_csv(
-                reject_path,
-                ("row", "author_key", "reason"),
-                [(r.row, r.author_key, r.reason) for r in rejects],
-            )
+            rows = ((r.row, r.author_key, r.reason) for r in rejects)
+            write_csv(reject_path, ("row", "author_key", "reason"), rows)
             reject_paths.append(reject_path)
 
     roster = parse_roster(config.roster)
@@ -237,7 +234,7 @@ def _rho(config: RunConfig, rho: float) -> float:
 
 @dataclass(frozen=True)
 class Table:
-    """One report table; ``json_rows`` overrides the row objects of its JSON.
+    """One report table; ``json_rows``, under the same header, replace its JSON's rows.
 
     A plot table is plot-ready long format and is written as CSV only.
     """
@@ -245,7 +242,7 @@ class Table:
     name: str
     header: tuple[str, ...]
     rows: list[tuple]
-    json_rows: list[dict] | None = None
+    json_rows: list[tuple] | None = None
     footnotes: tuple[str, ...] = ()
     plot: bool = False
 
@@ -258,16 +255,10 @@ def write_tables(config: RunConfig, tables: list[Table]) -> None:
             write_csv(path, table.header, table.rows)
             print(f"wrote {path}")
         if "json" in config.formats and not table.plot:
-            payload: dict = {
-                "report": table.name,
-                "rows": table.json_rows
-                if table.json_rows is not None
-                else [dict(zip(table.header, row)) for row in table.rows],
-            }
-            if table.footnotes:
-                payload["footnotes"] = table.footnotes
             path = config.out_dir / f"{table.name}.json"
-            write_json(path, payload)
+            write_json(
+                path, table.name, table.header, table.rows, table.json_rows, table.footnotes
+            )
             print(f"wrote {path}")
 
 
@@ -412,7 +403,7 @@ def cmd_corr(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
             for rho in analytics.per_bin_correlation(cohort, config.bins, tag)
         ]
         rows.append((scope, tag, *("-" if rho is None else rho for rho in rhos)))
-        json_rows.append({"discipline": scope, "db": tag, **dict(zip(labels, rhos))})
+        json_rows.append((scope, tag, *rhos))
     return [
         Table(
             "rank_correlation",

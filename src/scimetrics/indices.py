@@ -30,9 +30,6 @@ class CitationProfile:
             raise ValueError("citation counts must be non-negative")
         object.__setattr__(self, "citations", counts)
 
-    def __len__(self) -> int:
-        return len(self.citations)
-
 
 @dataclass(frozen=True)
 class IndexReport:

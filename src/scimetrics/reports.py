@@ -1,15 +1,21 @@
-"""Deterministic report writers: CSV/JSON with atomic file replacement."""
+"""Deterministic report writers: CSV/JSON with atomic file replacement.
+
+Rows stream into a same-directory temp file, created 0666 less the umask as
+``open()`` would, which is then renamed into place. JSON bytes equal
+``json.dumps(payload, indent=2) + "\\n"``.
+"""
 
 from __future__ import annotations
 
 import csv
-import io
 import json
+import math
 import os
-import tempfile
+from contextlib import contextmanager, suppress
 from decimal import ROUND_HALF_UP, Decimal
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 
 def round_half_up(value: float, ndigits: int) -> float:
@@ -22,38 +28,62 @@ def round_half_up(value: float, ndigits: int) -> float:
     return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write via a same-directory temp file + rename, so partial runs never
-    leave a corrupt report behind."""
+@contextmanager
+def _atomic_write(path: Path) -> Iterator[TextIO]:
+    """Yield a same-directory temp file, renamed to ``path`` if the block succeeds."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 
 def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _atomic_write(Path(path), buf.getvalue())
+    with _atomic_write(Path(path)) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def write_json(path: Path | str, payload) -> None:
-    _atomic_write(Path(path), json.dumps(payload, indent=2) + "\n")
+def _json_value(value) -> str:
+    """One scalar cell as ``json.dumps`` encodes it, with fast paths for the common types."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is int or type(value) is float and math.isfinite(value):
+        return repr(value)
+    if value is None or isinstance(value, (str, int, float)):
+        return json.dumps(value)  # null, true, false, NaN, Infinity, subclasses
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def read_csv(path: Path | str) -> tuple[list[str], list[list[str]]]:
-    """Header and rows of a report, for round-trip checks."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        return header, [row for row in reader]
+def write_json(
+    path: Path | str,
+    name: str,
+    header: Sequence[str],
+    rows: Iterable[Sequence],
+    json_rows: Iterable[Sequence] | None = None,
+    footnotes: Sequence[str] = (),
+) -> None:
+    """``{"report": name, "rows": [...], "footnotes": [...]}``, one object per
+    row keyed by the distinct ``header`` names; ``json_rows`` replace ``rows``
+    when given, and the ``footnotes`` key is left out when there are none."""
+    keys = (encode_basestring_ascii(k).replace("%", "%%") for k in header)
+    fields = ",\n      ".join(key + ": %s" for key in keys)
+    template = "    {\n      " + fields + "\n    }" if header else "    {}"
+    with _atomic_write(Path(path)) as fh:
+        fh.write('{\n  "report": ' + _json_value(name) + ',\n  "rows": [')
+        sep = "\n"
+        for row in rows if json_rows is None else json_rows:
+            fh.write(sep + template % tuple(map(_json_value, row)))
+            sep = ",\n"
+        fh.write("]" if sep == "\n" else "\n  ]")
+        if footnotes:
+            fh.write(',\n  "footnotes": [\n    ')
+            fh.write(",\n    ".join(map(_json_value, footnotes)) + "\n  ]")
+        fh.write("\n}\n")

@@ -15,7 +15,6 @@ from pathlib import Path
 
 from scimetrics.analytics import (
     DEFAULT_BINS,
-    cohort_from_profiles,
     density_series,
     per_bin_correlation,
     spearman_rho,
@@ -31,7 +30,8 @@ from scimetrics.indices import (
     compute_weight_k,
 )
 from scimetrics.ingest import AuthorProfile
-from scimetrics.reports import read_csv
+
+from helpers import cohort_from_profiles, read_csv
 
 ROOT = Path(__file__).parent.parent
 SYNTHETIC = Path(__file__).parent / "data" / "synthetic"

@@ -14,7 +14,6 @@ from scimetrics.analytics import (
     BinSpec,
     bin_proportions,
     build_cohort,
-    cohort_from_profiles,
     density_series,
     diff_sd,
     fractional_ranks,
@@ -26,6 +25,8 @@ from scimetrics.analytics import (
 from scimetrics.errors import DegenerateInput
 from scimetrics.indices import CitationProfile, IndexReport, compute_hc
 from scimetrics.ingest import AuthorProfile
+
+from helpers import cohort_from_profiles
 
 DB_TAGS = ("scopus", "wos")
 
@@ -107,6 +108,18 @@ def test_binspec_parse_roundtrip():
 def test_binspec_rejects_non_tilings(bad):
     with pytest.raises(ValueError):
         BinSpec.parse(bad)
+
+
+def test_binspec_accepts_one_value_bins():
+    assert BinSpec.parse("0-0,1-1,2+").labels() == ["0-0", "1-1", "2+"]
+
+
+@pytest.mark.parametrize("bad", ["0-10,11-5,6+", "0+,1-5"])
+def test_binspec_rejects_inverted_or_early_open_bins(bad):
+    # ValueError exactly: a TypeError from comparing None would escape --bins.
+    with pytest.raises(ValueError) as info:
+        BinSpec.parse(bad)
+    assert type(info.value) is ValueError
 
 
 @given(st.integers(min_value=0, max_value=10_000))

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from scimetrics.cli import main
-from scimetrics.reports import read_csv
+
+from helpers import read_csv
 
 SYNTHETIC = Path(__file__).parent / "data" / "synthetic"
 ALL_COMMANDS = ("index", "overlap", "rank", "bins", "corr", "deviation", "density")
