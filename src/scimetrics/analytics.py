@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 import statistics
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import DegenerateInput
 from .indices import IndexReport
@@ -23,22 +22,25 @@ RANK_KEYS: dict[str, Callable[[IndexReport], int]] = {
 }
 
 
-@dataclass(frozen=True)
-class BinSpec:
+class _BinSpec(NamedTuple):
+    bounds: tuple[tuple[int, int | None], ...]
+
+
+class BinSpec(_BinSpec):
     """Ordered closed integer intervals covering all non-negative values.
 
     The last interval is open-ended (upper bound None). Consecutive
     intervals must tile 0..inf with no gap or overlap.
     """
 
-    bounds: tuple[tuple[int, int | None], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.bounds:
+    def __new__(cls, bounds: tuple[tuple[int, int | None], ...]) -> "BinSpec":
+        if not bounds:
             raise ValueError("at least one bin required")
         expected_lo = 0
-        for i, (lo, hi) in enumerate(self.bounds):
-            last = i == len(self.bounds) - 1
+        for i, (lo, hi) in enumerate(bounds):
+            last = i == len(bounds) - 1
             if lo != expected_lo:
                 raise ValueError(f"bin {i} must start at {expected_lo}, got {lo}")
             if last:
@@ -48,6 +50,7 @@ class BinSpec:
                 if hi is None or hi < lo:
                     raise ValueError(f"bin {i} has invalid upper bound {hi}")
                 expected_lo = hi + 1
+        return super().__new__(cls, bounds)
 
     @classmethod
     def parse(cls, text: str) -> "BinSpec":
@@ -77,44 +80,36 @@ class BinSpec:
                 return i
         raise AssertionError("bins tile all non-negative integers")
 
-    def __len__(self) -> int:
-        return len(self.bounds)
-
 
 DEFAULT_BINS = BinSpec(((0, 10), (11, 20), (21, 30), (31, 40), (41, 50), (51, None)))
 
 
-@dataclass(frozen=True)
-class RankedAuthor:
+class RankedAuthor(NamedTuple):
     rank: int
     author_key: str
     report: IndexReport
 
 
-@dataclass(frozen=True)
-class CohortRow:
+class CohortRow(NamedTuple):
     """One author of a discipline with a report per database."""
 
     author_key: str
     reports: dict[str, IndexReport]
 
 
-@dataclass(frozen=True)
-class CohortTable:
+class CohortTable(NamedTuple):
     discipline: str
     db_tags: tuple[str, str]
     rows: tuple[CohortRow, ...]
 
 
-@dataclass(frozen=True)
-class BinnedCounts:
+class BinnedCounts(NamedTuple):
     bins: BinSpec
     counts: tuple[int, ...]
     proportions: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class StatsSummary:
+class StatsSummary(NamedTuple):
     """Five-number summary; sd uses the n-1 denominator.
 
     For a single value the sd is reported as 0.0 with degenerate=True.
@@ -173,7 +168,7 @@ def bin_proportions(values: Sequence[int], bins: BinSpec) -> BinnedCounts:
     """Counts and fractions of values per bin; fractions sum to 1."""
     if not values:
         raise DegenerateInput("no values to bin")
-    counts = [0] * len(bins)
+    counts = [0] * len(bins.bounds)
     for v in values:
         counts[bins.index_of(v)] += 1
     n = len(values)
@@ -233,7 +228,7 @@ def per_bin_correlation(
     Bins with fewer than two authors, or with a constant variable, yield
     None (rendered as "-" in reports).
     """
-    per_bin: list[list[tuple[int, int]]] = [[] for _ in range(len(bins))]
+    per_bin: list[list[tuple[int, int]]] = [[] for _ in bins.bounds]
     for row in cohort.rows:
         r = row.reports[db]
         per_bin[bins.index_of(r.h)].append((r.h, r.h_c))

@@ -16,9 +16,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import analytics
 from .analytics import BinSpec, CohortTable, build_cohort
@@ -35,13 +34,12 @@ from .ingest import (
 )
 from .reports import round_half_up, write_csv, write_json
 
-INDEX_COLUMNS = ("h", "g", "h_cite", "k", "h_c")
+INDEX_COLUMNS = IndexReport._fields  # an IndexReport unpacks in this order
 STATS_INDICES = ("h", "h_c", "g")
 PLOT_HEADER = ("series", "x", "y")
 
 
-@dataclass
-class Pipeline:
+class Pipeline(NamedTuple):
     """Parsed inputs and per-discipline cohorts shared by every subcommand."""
 
     config: RunConfig
@@ -106,7 +104,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"invalid --bins: {exc}") from exc
 
-    disciplines = args.disciplines or file_cfg.get("disciplines")
+    disciplines = args.disciplines
+    if disciplines is None:
+        disciplines = file_cfg.get("disciplines")
     if isinstance(disciplines, str):
         disciplines = [d.strip() for d in disciplines.split(",") if d.strip()]
     if disciplines is not None and not (
@@ -126,7 +126,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         records=records,
         roster=Path(roster),
         out_dir=Path(out_dir),
-        disciplines=tuple(disciplines) if disciplines else None,
+        disciplines=None if disciplines is None else tuple(disciplines),
         bins=bins,
         density_width=density_width,
         formats=formats,
@@ -219,10 +219,6 @@ def _values(cohort: CohortTable, tag: str, key: str) -> list[int]:
     return [analytics.RANK_KEYS[key](r.reports[tag]) for r in cohort.rows]
 
 
-def _index_values(r: IndexReport) -> tuple[int, ...]:
-    return (r.h, r.g, r.h_cite, r.k, r.h_c)  # in INDEX_COLUMNS order
-
-
 def _pct(config: RunConfig, fraction: float) -> float:
     value = fraction * 100.0
     return round_half_up(value, 1) if config.rounding == "half-up" else value
@@ -232,8 +228,7 @@ def _rho(config: RunConfig, rho: float) -> float:
     return round_half_up(rho, 2) if config.rounding == "half-up" else rho
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(NamedTuple):
     """One report table; ``json_rows``, under the same header, replace its JSON's rows.
 
     A plot table is plot-ready long format and is written as CSV only.
@@ -269,7 +264,7 @@ def write_tables(config: RunConfig, tables: list[Table]) -> None:
 def cmd_index(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
     """Per-(author, database) index rows plus per-discipline summaries."""
     rows = [
-        (discipline, row.author_key, tag, *_index_values(row.reports[tag]))
+        (discipline, row.author_key, tag, *row.reports[tag])
         for discipline in pipeline.disciplines
         for row in sorted(pipeline.cohorts[discipline].rows, key=lambda r: r.author_key)
         for tag in pipeline.config.db_tags
@@ -366,7 +361,7 @@ def cmd_rank(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
         pairs = [(r.author_key, r.reports[tag]) for r in cohort.rows]
         for ranked in analytics.rank_authors(pairs, key):
             r = ranked.report
-            rows.append((scope, tag, ranked.rank, ranked.author_key, *_index_values(r)))
+            rows.append((scope, tag, ranked.rank, ranked.author_key, *r))
             plot_rows.append((f"{scope}/{tag}", ranked.rank, analytics.RANK_KEYS[key](r)))
     return [
         Table(f"rank_{key}", ("discipline", "db", "rank", "author_key", *INDEX_COLUMNS), rows),

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .analytics import DEFAULT_BINS, BinSpec
 from .errors import ConfigError
@@ -13,8 +13,7 @@ FORMATS = ("csv", "json")
 ROUNDING_MODES = ("half-up", "raw")
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything a batch run needs; the pipeline itself has no randomness.
 
     ``records`` maps each of exactly two database tags to its export file.

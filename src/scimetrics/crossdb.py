@@ -7,8 +7,7 @@ totals in the same shape as a per-discipline summary table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import EmptyScope, UnknownDiscipline
 from .ingest import AuthorProfile
@@ -16,8 +15,7 @@ from .ingest import AuthorProfile
 GLOBAL_SCOPE = "all"
 
 
-@dataclass(frozen=True)
-class DbOverlapStats:
+class DbOverlapStats(NamedTuple):
     """Distinct-DOI aggregates of one database within one scope."""
 
     total_pubs: int
@@ -26,8 +24,7 @@ class DbOverlapStats:
     total_citations: int
 
 
-@dataclass(frozen=True)
-class OverlapReport:
+class OverlapReport(NamedTuple):
     scope: str
     author_count: int
     db_tags: tuple[str, str]
@@ -35,8 +32,7 @@ class OverlapReport:
     common_pubs: int
 
 
-@dataclass(frozen=True)
-class OverlapProportions:
+class OverlapProportions(NamedTuple):
     """Common/unique shares under both denominator conventions.
 
     union shares divide by the size of the two databases' DOI union and

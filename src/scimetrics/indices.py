@@ -11,51 +11,58 @@ thread.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 
-@dataclass(frozen=True)
-class CitationProfile:
+class _CitationProfile(NamedTuple):
+    citations: tuple[int, ...]
+
+
+class CitationProfile(_CitationProfile):
     """Per-paper citation counts of one author in one database.
 
     Counts are normalized to a descending tuple on construction, so any
     input order yields the same profile. An empty profile is valid.
     """
 
-    citations: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        counts = tuple(sorted((int(c) for c in self.citations), reverse=True))
+    def __new__(cls, citations: Iterable[int] = ()) -> "CitationProfile":
+        counts = tuple(sorted(map(int, citations), reverse=True))
         if counts and counts[-1] < 0:
             raise ValueError("citation counts must be non-negative")
-        object.__setattr__(self, "citations", counts)
+        return super().__new__(cls, counts)
 
 
-@dataclass(frozen=True)
-class IndexReport:
-    """All indices of one (author, database) pair.
-
-    h_cite is the citation count of the single most-cited paper; k is its
-    weight. By construction h_c = h + k, k is never 1, and g >= h.
-    """
-
+class _IndexReport(NamedTuple):
     h: int
     g: int
     h_cite: int
     k: int
     h_c: int
 
-    def __post_init__(self) -> None:
-        if min(self.h, self.g, self.h_cite, self.k, self.h_c) < 0:
+
+class IndexReport(_IndexReport):
+    """All indices of one (author, database) pair.
+
+    h_cite is the citation count of the single most-cited paper; k is its
+    weight. By construction h_c = h + k, k is never 1, and g >= h.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, h: int, g: int, h_cite: int, k: int, h_c: int) -> "IndexReport":
+        if min(h, g, h_cite, k, h_c) < 0:
             raise ValueError("indices must be non-negative")
-        if self.h_c != self.h + self.k:
+        if h_c != h + k:
             raise ValueError("h_c must equal h + k")
-        if self.k == 1:
+        if k == 1:
             raise ValueError("k is never 1")
-        if self.g < self.h:
+        if g < h:
             raise ValueError("g cannot be below h")
-        if self.h >= 1 and self.h_cite < self.h:
+        if h >= 1 and h_cite < h:
             raise ValueError("top-paper citations cannot be below h")
+        return super().__new__(cls, h, g, h_cite, k, h_c)
 
 
 def compute_h(profile: CitationProfile) -> int:

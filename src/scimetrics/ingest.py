@@ -14,9 +14,8 @@ import io
 import json
 import os
 import re
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import MalformedDoi, SchemaError, UnknownAuthor
 from .indices import CitationProfile
@@ -41,8 +40,7 @@ ROSTER_COLUMNS = (
 DoiMap = dict[str, dict[str, int]]
 
 
-@dataclass(frozen=True)
-class Reject:
+class Reject(NamedTuple):
     """A dropped input row: 1-based data-row number, author key, reason."""
 
     row: int
@@ -50,14 +48,12 @@ class Reject:
     reason: str
 
 
-@dataclass(frozen=True)
-class RosterEntry:
+class RosterEntry(NamedTuple):
     author_key: str
     discipline: str
 
 
-@dataclass
-class AuthorProfile:
+class AuthorProfile(NamedTuple):
     """One roster author with a doi -> citations map per database tag."""
 
     author_key: str
@@ -87,22 +83,6 @@ def normalize_doi(raw: str) -> str:
     return doi
 
 
-def _read_text(data: bytes | str | os.PathLike | IO[bytes]) -> str:
-    if isinstance(data, bytes):
-        raw = data
-    elif hasattr(data, "read"):
-        raw = data.read()
-    else:
-        with open(data, "rb") as fh:
-            raw = fh.read()
-    if isinstance(raw, str):
-        return raw
-    try:
-        return raw.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"input is not valid UTF-8: {exc}") from exc
-
-
 def _infer_format(data, fmt: str | None) -> str:
     if fmt is not None:
         if fmt not in ("csv", "json"):
@@ -122,19 +102,45 @@ def _rows(
 ) -> Iterator[tuple]:
     """The ``fields`` of every data row of one input, as a tuple per row.
 
-    JSON must be an array of objects; an absent key reads None. A CSV
-    header must name every ``required`` column. Column positions are
+    The input is UTF-8, with or without a BOM. CSV is read one line at a
+    time; JSON is read whole and must be an array of objects, where an
+    absent key or null reads "" and any other value is passed on as it is.
+    A CSV header must name every ``required`` column. Column positions are
     resolved once from the header, where a repeated name means its last
     column. A blank line is skipped and takes no row number, a missing
     field reads "", and fields past the header are ignored. ``fields``
     holds at least two names, so that ``itemgetter`` returns a tuple.
+    A stream passed in is left open.
     """
-    text = _read_text(data)
-    if _infer_format(data, fmt) == "json":
-        for item in _json_objects(text):
-            yield tuple(map(item.get, fields))
-        return
-    reader = csv.reader(io.StringIO(text, newline=""))
+    json_input = _infer_format(data, fmt) == "json"
+    if isinstance(data, bytes):
+        binary = io.BytesIO(data)
+    elif hasattr(data, "read"):
+        binary = data
+    else:
+        binary = open(data, "rb")
+    start = binary.tell() if binary.seekable() else None
+    text = io.TextIOWrapper(binary, encoding="utf-8-sig", newline="")
+    try:
+        if json_input:
+            for item in _json_objects(text.read()):
+                yield tuple("" if v is None else v for v in map(item.get, fields))
+        else:
+            yield from _csv_rows(text, required, fields)
+    except UnicodeDecodeError as exc:
+        where = "" if start is None else f" at line {_bad_line(binary, start)}"
+        raise SchemaError(f"input is not valid UTF-8{where}: {exc.reason}") from exc
+    finally:
+        if binary is data:
+            text.detach()
+        else:
+            text.close()
+
+
+def _csv_rows(
+    text: IO[str], required: tuple[str, ...], fields: tuple[str, ...]
+) -> Iterator[tuple]:
+    reader = csv.reader(text)
     try:
         header = next(reader, None)
         if header is None:
@@ -154,6 +160,18 @@ def _rows(
                 yield pick(row)
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise SchemaError(f"invalid CSV at line {reader.line_num}: {exc}") from exc
+
+
+def _bad_line(binary: IO[bytes], start: int) -> int:
+    """1-based line of the first byte from ``start`` on that is not UTF-8."""
+    binary.seek(start)
+    raw = binary.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raw = raw[: exc.start]
+    # Lines end at "\n", "\r" or "\r\n", as the CSV reader splits them.
+    return raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n") + 1
 
 
 def _json_objects(text: str) -> list[dict]:
@@ -184,6 +202,11 @@ def _parse_citations(value) -> int | None:
     return None
 
 
+def _non_string(*named: tuple[str, object]) -> str:
+    """The name of the first of the (name, value) pairs whose value is not a str."""
+    return next(name for name, value in named if not isinstance(value, str))
+
+
 def parse_records(
     data: bytes | str | os.PathLike | IO[bytes],
     fmt: str | None = None,
@@ -199,20 +222,29 @@ def parse_records(
     in order of each author's and each DOI's first accepted row. Rows
     without a usable author key, DOI, or citation count, or whose
     ``source`` names another database, are rejected with a reason and
-    their 1-based data-row number. A repeated (author_key, doi) keeps the
-    maximum citation count and each later row is rejected as a duplicate,
-    so the accepted (author, doi) pairs plus the rejects always equal the
-    input row count.
+    their 1-based data-row number; so is a JSON row whose author_key, doi
+    or source is neither a string nor null (``invalid <field>``). A
+    repeated (author_key, doi) keeps the maximum citation count and each
+    later row is rejected as a duplicate, so the accepted (author, doi)
+    pairs plus the rejects always equal the input row count.
     """
     accepted: DoiMap = {}
     rejects: list[Reject] = []
     rows = _rows(data, fmt, RECORD_COLUMNS, (*RECORD_COLUMNS, "source"))
     for rownum, (author_key, raw_doi, raw_citations, row_source) in enumerate(rows, 1):
-        author_key = str(author_key or "").strip()
-        raw_doi = "" if raw_doi is None else str(raw_doi).strip()
+        try:
+            author_key = author_key.strip()
+            raw_doi = raw_doi.strip()
+            row_source = row_source.strip()
+        except AttributeError:  # a JSON value that is neither a string nor null
+            field = _non_string(
+                ("author_key", author_key), ("doi", raw_doi), ("source", row_source)
+            )
+            key = author_key if isinstance(author_key, str) else ""
+            rejects.append(Reject(rownum, key, f"invalid {field}"))
+            continue
         doi = _canonical_doi(raw_doi)
         citations = _parse_citations(raw_citations)
-        row_source = str(row_source or "").strip()
         if not author_key:
             reason = "missing author_key"
         elif not raw_doi:
@@ -244,14 +276,19 @@ def parse_roster(
     """Parse the author roster (CSV or JSON array) into roster entries.
 
     Requires the full roster schema in the header; author_key and
-    discipline must be non-empty per row, and author keys must be unique.
+    discipline must be non-empty strings per row, and author keys must be
+    unique.
     """
     entries: list[RosterEntry] = []
     seen: set[str] = set()
     rows = _rows(data, fmt, ROSTER_COLUMNS, ("author_key", "discipline"))
     for rownum, (author_key, discipline) in enumerate(rows, 1):
-        author_key = str(author_key or "").strip()
-        discipline = str(discipline or "").strip()
+        try:
+            author_key = author_key.strip()
+            discipline = discipline.strip()
+        except AttributeError:  # a JSON value that is neither a string nor null
+            field = _non_string(("author_key", author_key), ("discipline", discipline))
+            raise SchemaError(f"roster row {rownum}: {field} must be a string") from None
         if not author_key:
             raise SchemaError(f"roster row {rownum}: missing author_key")
         if not discipline:

@@ -456,6 +456,23 @@ def test_config_value_of_wrong_type_exits_2(value, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [(",", None), ("", None), (None, []), (None, " , ")],
+    ids=["flag_commas", "flag_empty", "config_empty_list", "config_commas"],
+)
+def test_empty_discipline_set_exits_2(flag, value, tmp_path, capsys):
+    data = write_golden_fixture(tmp_path)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({} if value is None else {"disciplines": value}))
+    extra = ["--config", str(cfg_path)]
+    if flag is not None:
+        extra += ["--disciplines", flag]
+    assert main(["index", *args_for(data, tmp_path / "out", *extra)]) == 2
+    err = capsys.readouterr().err
+    assert err == "scimetrics: ConfigError: declared discipline set must be non-empty\n"
+
+
 def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

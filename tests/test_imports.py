@@ -1,0 +1,24 @@
+"""Importing the program loads only what a run needs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PROBE = (
+    "import sys; before = set(sys.modules); import scimetrics.cli, run_full_analysis;"
+    " print(' '.join(sorted(set(sys.modules) - before)))"
+)
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    paths = [str(ROOT / "src"), str(ROOT / "scripts"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    added = set(done.stdout.split())
+    assert {"scimetrics.cli", "run_full_analysis"} <= added
+    assert not added & {"dataclasses", "inspect"}

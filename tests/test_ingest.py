@@ -1,5 +1,6 @@
 """Export parsing, DOI normalization, and profile assembly."""
 
+import io
 import json
 from collections import Counter
 
@@ -244,6 +245,49 @@ def test_json_records_mirror_csv():
     accepted, rejects = parse_records(json.dumps(payload).encode(), "json", "scopus")
     assert accepted == {"a1": {"10.1/x": 5, "10.1/y": 2}}
     assert [(r.row, r.reason) for r in rejects] == [(3, "missing doi")]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("author_key", ["a1"]), ("doi", 7), ("source", ["scopus"])],
+)
+def test_json_export_value_of_wrong_type_is_rejected(field, value):
+    row = {"author_key": "a1", "doi": "10.1/x", "citations": 5, "source": "scopus"}
+    row[field] = value
+    payload = [{"author_key": "a2", "doi": "10.1/y", "citations": 1}, row]
+    accepted, rejects = parse_records(json.dumps(payload).encode(), "json", "scopus")
+    assert accepted == {"a2": {"10.1/y": 1}}
+    assert [(r.row, r.reason) for r in rejects] == [(2, f"invalid {field}")]
+
+
+@pytest.mark.parametrize("field, value", [("author_key", 7), ("discipline", ["bio"])])
+def test_json_roster_value_of_wrong_type_is_schema_error(field, value):
+    row = dict.fromkeys(("author_key", "orcid", "researcher_id", "scopus_id"), "")
+    row.update(author_key="a2", discipline="bio", display_name="")
+    bad = {**row, "author_key": "a1", field: value}
+    with pytest.raises(SchemaError, match=f"roster row 2: {field} must be a string"):
+        parse_roster(json.dumps([row, bad]).encode(), "json")
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("kind", ["bytes", "stream", "path"])
+def test_invalid_utf8_mid_file_names_its_line(kind, newline, tmp_path):
+    rows = [("a1", f"10.1/x{i}", 5, "scopus") for i in range(3000)]  # several read chunks
+    data = records_csv(rows).replace(b"\n", newline.encode())
+    data += b"a2,10.1/\xff,5" + newline.encode()
+    if kind == "stream":
+        data = io.BytesIO(data)
+    elif kind == "path":
+        (tmp_path / "records.csv").write_bytes(data)
+        data = tmp_path / "records.csv"
+    with pytest.raises(SchemaError, match="not valid UTF-8 at line 3002:"):
+        parse_records(data, "csv", "scopus")
+
+
+def test_stream_is_read_but_left_open():
+    stream = io.BytesIO(records_csv([("a1", "10.1/x", 5, "scopus")]))
+    assert parse_records(stream, "csv", "scopus") == ({"a1": {"10.1/x": 5}}, [])
+    assert not stream.closed
 
 
 def test_json_must_be_array_of_objects():
