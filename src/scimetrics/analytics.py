@@ -3,12 +3,19 @@
 Everything here is a pure function over immutable inputs; all outputs are
 deterministic and schedule-independent, so per-discipline work can run in
 parallel safely.
+
+Index values are integers, so the statistics are computed from exact
+integer sums: a mean or median is one correctly rounded int/int division,
+a sample sd is the correctly rounded square root of the exact variance,
+and Spearman's rho is formed from integer sums of doubled, centred ranks.
+The results do not depend on the interpreter's ``statistics`` module.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
+import operator
+import sys
 from collections import Counter
 from typing import Callable, NamedTuple, Sequence
 
@@ -169,8 +176,8 @@ def bin_proportions(values: Sequence[int], bins: BinSpec) -> BinnedCounts:
     if not values:
         raise DegenerateInput("no values to bin")
     counts = [0] * len(bins.bounds)
-    for v in values:
-        counts[bins.index_of(v)] += 1
+    for v, c in Counter(values).items():
+        counts[bins.index_of(v)] += c
     n = len(values)
     return BinnedCounts(
         bins=bins,
@@ -179,20 +186,28 @@ def bin_proportions(values: Sequence[int], bins: BinSpec) -> BinnedCounts:
     )
 
 
+def _centred_ranks(values: Sequence[float]) -> list[int]:
+    """Doubled centred fractional ranks, ``2 * rank - (n + 1)``, as exact ints.
+
+    Tied values share the average of their positions, so a value with
+    ``below`` smaller values and ``count`` copies gets
+    ``2 * below + count - n``.
+    """
+    n = len(values)
+    counts = Counter(values)
+    code = {}
+    acc = -n  # 2 * (count below v) - n
+    for v in sorted(counts):
+        c = counts[v]
+        code[v] = acc + c
+        acc += 2 * c
+    return [code[v] for v in values]
+
+
 def fractional_ranks(values: Sequence[float]) -> list[float]:
     """Ascending ranks 1..n; tied values share the average of their positions."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        mean_rank = (i + j + 2) / 2  # positions are i+1 .. j+1
-        for idx in order[i : j + 1]:
-            ranks[idx] = mean_rank
-        i = j + 1
-    return ranks
+    n1 = len(values) + 1
+    return [(d + n1) / 2 for d in _centred_ranks(values)]
 
 
 def spearman_rho(pairs: Sequence[tuple[float, float]]) -> float:
@@ -203,18 +218,15 @@ def spearman_rho(pairs: Sequence[tuple[float, float]]) -> float:
     """
     if len(pairs) < 2:
         raise DegenerateInput("need at least two pairs")
-    xs = [p[0] for p in pairs]
-    ys = [p[1] for p in pairs]
-    if min(xs) == max(xs) or min(ys) == max(ys):
+    # Doubled centred ranks are exact ints, so the sums below are exact and
+    # perfect agreement yields exactly +-1.
+    dx = _centred_ranks([p[0] for p in pairs])
+    dy = _centred_ranks([p[1] for p in pairs])
+    sxx = sum(map(operator.mul, dx, dx))
+    syy = sum(map(operator.mul, dy, dy))
+    if not sxx or not syy:  # every centred rank of a constant variable is 0
         raise DegenerateInput("constant variable")
-    n = len(pairs)
-    # Fractional ranks are halves, so doubled centered ranks are exact ints;
-    # the sums below are then exact and perfect agreement yields exactly +-1.
-    dx = [round(2 * r) - (n + 1) for r in fractional_ranks(xs)]
-    dy = [round(2 * r) - (n + 1) for r in fractional_ranks(ys)]
-    sxy = sum(a * b for a, b in zip(dx, dy))
-    sxx = sum(a * a for a in dx)
-    syy = sum(b * b for b in dy)
+    sxy = sum(map(operator.mul, dx, dy))
     if sxy * sxy == sxx * syy:
         return 1.0 if sxy > 0 else -1.0
     return sxy / math.sqrt(sxx * syy)
@@ -228,10 +240,11 @@ def per_bin_correlation(
     Bins with fewer than two authors, or with a constant variable, yield
     None (rendered as "-" in reports).
     """
+    reports = [row.reports[db] for row in cohort.rows]
+    bin_of = {h: bins.index_of(h) for h in {r.h for r in reports}}
     per_bin: list[list[tuple[int, int]]] = [[] for _ in bins.bounds]
-    for row in cohort.rows:
-        r = row.reports[db]
-        per_bin[bins.index_of(r.h)].append((r.h, r.h_c))
+    for r in reports:
+        per_bin[bin_of[r.h]].append((r.h, r.h_c))
     out: list[float | None] = []
     for pairs in per_bin:
         try:
@@ -255,7 +268,7 @@ def diff_sd(cohort: CohortTable, key: str) -> float:
     a, b = cohort.db_tags
     value = RANK_KEYS[key]
     diffs = [value(row.reports[a]) - value(row.reports[b]) for row in cohort.rows]
-    return statistics.stdev(diffs)
+    return _sample_sd(diffs)
 
 
 def density_series(
@@ -283,12 +296,42 @@ def stats_summary(values: Sequence[int]) -> StatsSummary:
     """Min, max, median, mean and sample sd of a cohort's index values."""
     if not values:
         raise DegenerateInput("no values to summarize")
-    degenerate = len(values) < 2
+    ordered = sorted(values)
+    n = len(ordered)
+    mid = n // 2
+    degenerate = n < 2
     return StatsSummary(
-        minimum=min(values),
-        maximum=max(values),
-        median=float(statistics.median(values)),
-        mean=float(statistics.mean(values)),
-        sd=0.0 if degenerate else statistics.stdev(values),
+        minimum=ordered[0],
+        maximum=ordered[-1],
+        median=float(ordered[mid]) if n % 2 else (ordered[mid - 1] + ordered[mid]) / 2,
+        mean=sum(ordered) / n,
+        sd=0.0 if degenerate else _sample_sd(ordered),
         degenerate=degenerate,
     )
+
+
+# Bits kept in the scaled variance: its integer root then has two bits more
+# than a double, and rounding that round-to-odd root to a double rounds the
+# exact root correctly.
+_SQRT_BITS = 2 * sys.float_info.mant_dig + 3
+
+
+def _sample_sd(values: Sequence[int]) -> float:
+    """Sample sd (n-1 denominator) of two or more ints, correctly rounded.
+
+    The variance is the exact rational ``(n*sum(v^2) - sum(v)^2) / (n(n-1))``,
+    scaled by a power of four to ``_SQRT_BITS`` bits; its root is taken in
+    integers with round-to-odd, then rounded once to a float.
+    """
+    n = len(values)
+    total = sum(values)
+    num = n * sum(map(operator.mul, values, values)) - total * total
+    den = n * (n - 1)
+    q = (num.bit_length() - den.bit_length() - _SQRT_BITS) // 2
+    if q >= 0:
+        den <<= 2 * q
+    else:
+        num <<= -2 * q
+    root = math.isqrt(num // den)
+    root |= root * root * den != num  # round to odd: an inexact root gets the low bit
+    return float(root << q) if q >= 0 else root / (1 << -q)

@@ -219,9 +219,17 @@ def _values(cohort: CohortTable, tag: str, key: str) -> list[int]:
     return [analytics.RANK_KEYS[key](r.reports[tag]) for r in cohort.rows]
 
 
-def _pct(config: RunConfig, fraction: float) -> float:
-    value = fraction * 100.0
-    return round_half_up(value, 1) if config.rounding == "half-up" else value
+def _pct(config: RunConfig, count: int, total: int) -> float:
+    """``count`` as a percentage of ``total``; 0.0 when ``total`` is 0.
+
+    Half-up rounding to one decimal is done in integers, so exact ties
+    such as 23/80 = 28.75% round up.
+    """
+    if not total:
+        return 0.0
+    if config.rounding == "half-up":
+        return (2000 * count + total) // (2 * total) / 10
+    return count / total * 100.0
 
 
 def _rho(config: RunConfig, rho: float) -> float:
@@ -291,13 +299,17 @@ def cmd_overlap(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
     """Common/unique publication reconciliation per discipline and globally."""
     config = pipeline.config
     tags = config.db_tags
+    by_discipline: dict[str, list[AuthorProfile]] = {}
+    for p in pipeline.profiles:
+        by_discipline.setdefault(p.discipline, []).append(p)
     rows = []
     prop_rows = []
     for scope in _scopes(pipeline):
+        whole = scope == GLOBAL_SCOPE
         report = classify_overlap(
-            pipeline.profiles,
+            pipeline.profiles if whole else by_discipline.get(scope, []),
             tags,
-            scope=None if scope == GLOBAL_SCOPE else scope,
+            scope=None if whole else scope,
             disciplines=pipeline.disciplines,
         )
         for tag in tags:
@@ -318,17 +330,27 @@ def cmd_overlap(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
             props = overlap_proportions(report)
         except EmptyScope:
             continue  # nothing published in this scope: no shares to report
+        common = report.common_pubs
+        union = props.union_total
         prop_rows.append(
-            (scope, "union", "common", props.common_share, _pct(config, props.common_share))
+            (scope, "union", "common", props.common_share, _pct(config, common, union))
         )
         for tag in tags:
+            unique = report.per_db[tag].unique_pubs
             share = props.unique_shares[tag]
-            prop_rows.append((scope, "union", f"unique_{tag}", share, _pct(config, share)))
+            prop_rows.append(
+                (scope, "union", f"unique_{tag}", share, _pct(config, unique, union))
+            )
         for tag in tags:
-            common = props.per_db_common_share[tag]
-            unique = props.per_db_unique_share[tag]
-            prop_rows.append((scope, tag, "common", common, _pct(config, common)))
-            prop_rows.append((scope, tag, "unique", unique, _pct(config, unique)))
+            stats = report.per_db[tag]
+            prop_rows.append(
+                (scope, tag, "common", props.per_db_common_share[tag],
+                 _pct(config, common, stats.total_pubs))
+            )
+            prop_rows.append(
+                (scope, tag, "unique", props.per_db_unique_share[tag],
+                 _pct(config, stats.unique_pubs, stats.total_pubs))
+            )
     return [
         Table(
             "overlap",
@@ -379,9 +401,10 @@ def cmd_bins(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
     for scope, tag, cohort in _scope_tags(pipeline):
         h_bins = analytics.bin_proportions(_values(cohort, tag, "h"), config.bins)
         hc_bins = analytics.bin_proportions(_values(cohort, tag, "h_c"), config.bins)
+        n = len(cohort.rows)
         row = [scope, tag]
-        for h_prop, hc_prop in zip(h_bins.proportions, hc_bins.proportions):
-            row += [_pct(config, h_prop), _pct(config, hc_prop)]
+        for h_count, hc_count in zip(h_bins.counts, hc_bins.counts):
+            row += [_pct(config, h_count, n), _pct(config, hc_count, n)]
         rows.append(tuple(row))
     return [Table("author_bins", tuple(header), rows)]
 

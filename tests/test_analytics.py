@@ -3,6 +3,7 @@
 import math
 import random
 import statistics
+import sys
 from collections import defaultdict
 
 import pytest
@@ -74,6 +75,38 @@ def oracle_spearman(pairs):
     vx = sum((a - mx) ** 2 for a in rx)
     vy = sum((b - my) ** 2 for b in ry)
     return cov / math.sqrt(vx * vy)
+
+
+def sort_scan_ranks(values):
+    """Fractional ranks from one sort and a scan over runs of equal values."""
+    order = sorted(range(len(values)), key=lambda i: values[i])
+    ranks = [0.0] * len(values)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        for idx in order[i : j + 1]:
+            ranks[idx] = (i + j + 2) / 2  # positions are i+1 .. j+1
+        i = j + 1
+    return ranks
+
+
+def sort_scan_spearman(pairs):
+    """Spearman's rho from sort-and-scan ranks, doubled and centred to ints."""
+    xs = [p[0] for p in pairs]
+    ys = [p[1] for p in pairs]
+    if len(pairs) < 2 or min(xs) == max(xs) or min(ys) == max(ys):
+        raise DegenerateInput("degenerate")
+    n = len(pairs)
+    dx = [round(2 * r) - (n + 1) for r in sort_scan_ranks(xs)]
+    dy = [round(2 * r) - (n + 1) for r in sort_scan_ranks(ys)]
+    sxy = sum(a * b for a, b in zip(dx, dy))
+    sxx = sum(a * a for a in dx)
+    syy = sum(b * b for b in dy)
+    if sxy * sxy == sxx * syy:
+        return 1.0 if sxy > 0 else -1.0
+    return sxy / math.sqrt(sxx * syy)
 
 
 def oracle_two_pass_sd(values):
@@ -282,6 +315,22 @@ pair_lists = st.lists(
 )
 
 
+rank_values = st.one_of(st.integers(0, 8), st.integers(-(10**6), 10**6))
+
+
+@given(st.lists(st.tuples(rank_values, rank_values), max_size=60))
+def test_spearman_and_ranks_equal_sort_scan_oracle(pairs):
+    xs = [x for x, _ in pairs]
+    assert fractional_ranks(xs) == sort_scan_ranks(xs)
+    try:
+        expected = sort_scan_spearman(pairs)
+    except DegenerateInput:
+        with pytest.raises(DegenerateInput):
+            spearman_rho(pairs)
+    else:
+        assert spearman_rho(pairs) == expected
+
+
 @given(pair_lists)
 def test_spearman_symmetry(pairs):
     swapped = [(y, x) for x, y in pairs]
@@ -401,6 +450,27 @@ def test_diff_sd_matches_two_pass_oracle_and_invariances():
         )
 
 
+needs_exact_stdev = pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="statistics.stdev is correctly rounded from 3.11"
+)
+huge_ints = st.one_of(st.integers(-5, 5), st.integers(-(10**40), 10**40))
+
+
+@needs_exact_stdev
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 10**40), st.integers(0, 10**40)), min_size=2, max_size=40
+    )
+)
+def test_diff_sd_equals_statistics_stdev(pairs):
+    reports = {
+        f"a{i:02d}": {"scopus": report_for(hs), "wos": report_for(hw)}
+        for i, (hs, hw) in enumerate(pairs)
+    }
+    diffs = [hs - hw for hs, hw in pairs]
+    assert diff_sd(cohort_of(reports), "h") == statistics.stdev(diffs)
+
+
 # ---------------------------------------------------------------------------
 # density_series
 # ---------------------------------------------------------------------------
@@ -464,6 +534,15 @@ def test_stats_match_direct_formulas(values):
     assert summary.median == pytest.approx(statistics.median(values), abs=0)
     assert summary.sd == pytest.approx(oracle_two_pass_sd(values), abs=1e-9)
     assert not summary.degenerate
+
+
+@needs_exact_stdev
+@given(st.lists(huge_ints, min_size=1, max_size=60))
+def test_stats_equal_statistics_module(values):
+    summary = stats_summary(values)
+    assert summary.mean == float(statistics.mean(values))
+    assert summary.median == float(statistics.median(values))
+    assert summary.sd == (statistics.stdev(values) if len(values) > 1 else 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
 """CLI contract: flags, exit codes, report files, determinism."""
 
 import json
+import math
 import shutil
+import statistics
 import subprocess
 import sys
+from collections import defaultdict
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from scimetrics.cli import main
+from scimetrics.cli import _pct, main
+from scimetrics.config import RunConfig
 
 from helpers import read_csv
 
@@ -242,6 +247,55 @@ def test_bins_table_shape_and_values(tmp_path):
         assert abs(hc_total - 100.0) < 0.5
 
 
+def test_bins_round_exact_ties_half_up(tmp_path):
+    # 23 of 80 authors in 0-10 is exactly 28.75%, and 57 of 80 in 11-20 is 71.25%.
+    roster = ["author_key,orcid,researcher_id,scopus_id,discipline,display_name"]
+    records = ["author_key,doi,citations"]
+    for i in range(80):
+        key = f"a{i:02d}"
+        roster.append(f"{key},,,,physics,")
+        papers = 1 if i < 23 else 11  # h = 1 or h = 11
+        records += [f"{key},10.1/{key}.{n},11" for n in range(papers)]
+    (tmp_path / "roster.csv").write_text("\n".join(roster) + "\n")
+    for tag in ("scopus", "wos"):
+        (tmp_path / f"records_{tag}.csv").write_text("\n".join(records) + "\n")
+    out = tmp_path / "out"
+    assert main(["bins", *args_for(tmp_path, out)]) == 0
+    header, rows = read_csv(out / "author_bins.csv")
+    assert len(rows) == 4  # physics and all, per database
+    for row in rows:
+        cells = dict(zip(header, row))
+        assert (cells["h_0-10"], cells["h_11-20"]) == ("28.8", "71.3")
+
+
+def oracle_half_up_pct(count, total):
+    """One-decimal percentage, ties up, in exact rational arithmetic."""
+    return math.floor(Fraction(1000 * count, total) + Fraction(1, 2)) / 10
+
+
+def test_pct_half_up_matches_fraction_oracle():
+    config = RunConfig(records={}, roster=Path(), out_dir=Path())
+    # A one-decimal tie 1000*c/n = k + 1/2 needs 16 | n, since 2000*c = (2k+1)*n.
+    ties = [
+        (c, n) for n in range(16, 3001, 16) for c in range(n + 1) if 2000 * c % (2 * n) == n
+    ]
+    assert len(ties) == 4600
+    for c, n in ties:
+        assert _pct(config, c, n) == oracle_half_up_pct(c, n), (c, n)
+    for n in range(1, 161):
+        for c in range(n + 1):
+            assert _pct(config, c, n) == oracle_half_up_pct(c, n), (c, n)
+    assert _pct(config, 0, 0) == 0.0
+
+
+def test_pct_raw_is_one_share_times_100():
+    config = RunConfig(records={}, roster=Path(), out_dir=Path(), rounding="raw")
+    for n in range(1, 161):
+        for c in range(n + 1):
+            assert _pct(config, c, n) == c / n * 100.0
+    assert _pct(config, 0, 0) == 0.0
+
+
 def test_corr_table_absent_cells(tmp_path):
     out = tmp_path / "out"
     assert main(["corr", *args_for(SYNTHETIC, out)]) == 0
@@ -266,6 +320,49 @@ def test_deviation_values(tmp_path):
     assert {row[1] for row in rows} == {"h", "h_c"}
     assert all(float(row[2]) >= 0.0 for row in rows)
     assert len(rows) == 12  # (5 disciplines + all) x 2 indices
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="statistics.stdev is correctly rounded from 3.11"
+)
+def test_index_stats_and_deviation_match_statistics_oracle(tmp_path):
+    """Both tables recomputed from index_report.csv: n, min, max, median, mean
+    and sample sd of each index per scope and database, and the sample sd of
+    the per-author first-minus-second database difference per scope."""
+    out = tmp_path / "out"
+    for command in ("index", "deviation"):
+        assert main([command, *args_for(SYNTHETIC, out)]) == 0
+    header, rows = read_csv(out / "index_report.csv")
+    # scope -> author -> db -> index -> value; every author is also in "all".
+    values = defaultdict(lambda: defaultdict(dict))
+    for row in rows:
+        cells = dict(zip(header, row))
+        indices = {key: int(cells[key]) for key in ("h", "h_c", "g")}
+        for scope in (cells["discipline"], "all"):
+            values[scope][cells["author_key"]][cells["db"]] = indices
+
+    expected_stats = {}
+    expected_deviation = {}
+    for scope, authors in values.items():
+        for db in ("scopus", "wos"):
+            for key in ("h", "h_c", "g"):
+                v = [dbs[db][key] for dbs in authors.values()]
+                expected_stats[scope, db, key] = [
+                    str(len(v)), str(min(v)), str(max(v)),
+                    repr(float(statistics.median(v))),
+                    repr(float(statistics.mean(v))),
+                    repr(statistics.stdev(v)),
+                ]
+        for key in ("h", "h_c"):
+            diffs = [dbs["scopus"][key] - dbs["wos"][key] for dbs in authors.values()]
+            expected_deviation[scope, key] = [repr(statistics.stdev(diffs))]
+
+    _, stats_rows = read_csv(out / "index_stats.csv")
+    assert len(stats_rows) == 6 * 2 * 3  # (5 disciplines + all) x 2 dbs x 3 indices
+    assert {tuple(r[:3]): r[3:] for r in stats_rows} == expected_stats
+    _, deviation_rows = read_csv(out / "index_deviation.csv")
+    assert len(deviation_rows) == 6 * 2
+    assert {tuple(r[:2]): r[2:] for r in deviation_rows} == expected_deviation
 
 
 def test_deviation_identical_databases_is_zero(tmp_path):

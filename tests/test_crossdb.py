@@ -102,6 +102,23 @@ def test_partitioning_disciplines_sum_to_global():
     assert global_report.common_pubs == sum(p.common_pubs for p in parts)
 
 
+DISCIPLINES = ("biology", "chemistry", "physics")
+doi_maps = st.dictionaries(
+    st.sampled_from([f"10.1/d{i}" for i in range(8)]), st.integers(0, 9), max_size=5
+)
+
+
+@given(st.lists(st.tuples(st.sampled_from(DISCIPLINES), doi_maps, doi_maps), max_size=12))
+def test_scope_given_only_its_own_profiles_matches_full_list(specs):
+    # A small DOI pool makes DOIs shared across disciplines common.
+    profiles = [make_profile(f"a{i}", *spec) for i, spec in enumerate(specs)]
+    for scope in DISCIPLINES:
+        own = [p for p in profiles if p.discipline == scope]
+        assert classify_overlap(
+            own, DB_TAGS, scope=scope, disciplines=DISCIPLINES
+        ) == classify_overlap(profiles, DB_TAGS, scope=scope, disciplines=DISCIPLINES)
+
+
 def _random_profiles(rng, n_records=200):
     profiles = {}
     for i in range(n_records):
