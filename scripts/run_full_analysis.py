@@ -14,13 +14,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from scimetrics.cli import main
-
-COMMANDS = ("index", "overlap", "rank", "bins", "corr", "deviation", "density")
+from scimetrics.cli import REPORTS, main
 
 
 def run(data: Path, out: Path, extra: list[str]) -> int:
-    """Call ``main`` once per report family, sharing one load of the inputs.
+    """Call ``main`` once per ``REPORTS`` family, in registry order, sharing one load.
 
     The shared load lives only for this call, so every call of ``run``
     reads its inputs afresh.
@@ -33,7 +31,7 @@ def run(data: Path, out: Path, extra: list[str]) -> int:
         *extra,
     ]
     loaded: dict = {}
-    for command in COMMANDS:
+    for command in REPORTS:
         code = main([command, *base], loaded)
         if code != 0:
             print(f"{command} failed with exit code {code}", file=sys.stderr)

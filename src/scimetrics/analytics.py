@@ -155,19 +155,15 @@ def build_cohort(
     reports_by_author: dict[str, dict[str, IndexReport]],
     db_tags: tuple[str, str],
 ) -> CohortTable:
-    """Assemble a discipline cohort, rows ordered by the first database's h rank.
+    """Assemble a discipline cohort, one row per author in the order given.
 
-    That order is the convention used when plotting the second database
-    against the first.
+    The rows share the given per-database report dicts. No report reads
+    the row order: each one sorts under a total order or is exact over
+    integer sums and counts. Raises DegenerateInput for an empty cohort.
     """
-    lead = db_tags[0]
-    ranked = rank_authors(
-        [(author, dbs[lead]) for author, dbs in reports_by_author.items()], "h"
-    )
-    rows = tuple(
-        CohortRow(author_key=ra.author_key, reports=dict(reports_by_author[ra.author_key]))
-        for ra in ranked
-    )
+    if not reports_by_author:
+        raise DegenerateInput(f"no authors in {discipline!r}")
+    rows = tuple(map(CohortRow._make, reports_by_author.items()))
     return CohortTable(discipline=discipline, db_tags=db_tags, rows=rows)
 
 

@@ -36,16 +36,24 @@ from .reports import round_half_up, write_csv, write_json
 
 INDEX_COLUMNS = IndexReport._fields  # an IndexReport unpacks in this order
 STATS_INDICES = ("h", "h_c", "g")
+CONFIG_KEYS = frozenset(
+    ("records", "roster", "out", "format", "bins", "disciplines", "density_width", "rounding")
+)
 PLOT_HEADER = ("series", "x", "y")
 
 
 class Pipeline(NamedTuple):
-    """Parsed inputs and per-discipline cohorts shared by every subcommand."""
+    """Parsed inputs, grouped into scopes once, shared by every subcommand.
+
+    ``scopes`` maps each scope to its authors' profiles: every listed
+    discipline in sorted order, then the global scope with every profile.
+    ``cohorts`` holds one cohort per scope, built from that grouping, under
+    the same keys in the same order. Report rows follow this scope order.
+    """
 
     config: RunConfig
-    profiles: list[AuthorProfile]
-    disciplines: list[str]
-    cohorts: dict[str, CohortTable]  # per discipline, plus the global scope
+    scopes: dict[str, list[AuthorProfile]]
+    cohorts: dict[str, CohortTable]
     reject_paths: list[Path]
 
 
@@ -61,10 +69,10 @@ def _parse_records_flag(value: str) -> tuple[str, str]:
 
 
 def _file_str(file_cfg: dict, key: str) -> str | None:
-    """A string entry of the config file, or None when it is absent."""
+    """A string entry of the config file, or None when it is unset."""
     value = file_cfg.get(key)
-    if value is not None and not isinstance(value, str):
-        raise ConfigError(f"config file {key!r} must be a string")
+    if value is not None and not (isinstance(value, str) and value):
+        raise ConfigError(f"config file {key!r} must be a non-empty string")
     return value
 
 
@@ -78,10 +86,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config file {args.config}: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
+        unknown = sorted(file_cfg.keys() - CONFIG_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown config file key(s): {', '.join(map(repr, unknown))}")
+        # Only an absent key or null leaves a setting unset.
+        file_cfg = {key: value for key, value in file_cfg.items() if value is not None}
 
-    file_records = file_cfg.get("records") or {}
+    file_records = file_cfg.get("records", {})
     if not isinstance(file_records, dict) or not all(
-        isinstance(p, str) for p in file_records.values()
+        tag and isinstance(p, str) and p for tag, p in file_records.items()
     ):
         raise ConfigError("config file 'records' must map dbtag -> path")
     records: dict[str, Path] = {tag: Path(p) for tag, p in file_records.items()}
@@ -95,7 +108,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
     out_dir = args.out or _file_str(file_cfg, "out") or os.environ.get(OUT_DIR_ENV) or "out"
 
-    fmt = args.format or file_cfg.get("format") or "both"
+    fmt = args.format or _file_str(file_cfg, "format") or "both"
     formats = FORMATS if fmt == "both" else (fmt,)
 
     bins_text = args.bins or _file_str(file_cfg, "bins")
@@ -130,7 +143,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         bins=bins,
         density_width=density_width,
         formats=formats,
-        rounding=args.rounding or file_cfg.get("rounding") or "half-up",
+        rounding=args.rounding or _file_str(file_cfg, "rounding") or "half-up",
     )
     return config.validate()
 
@@ -182,36 +195,28 @@ def load_pipeline(config: RunConfig, reject_paths: list[Path] | None = None) -> 
 
     tags = config.db_tags
     profiles = build_profiles(accepted, roster, tags)
+    scopes: dict[str, list[AuthorProfile]] = {d: [] for d in disciplines}
+    for p in profiles:
+        scopes[p.discipline].append(p)
+    scopes[GLOBAL_SCOPE] = profiles
     reports = {
         p.author_key: {tag: compute_hc(profile_to_citations(p, tag)) for tag in tags}
         for p in profiles
     }
-    by_discipline: dict[str, dict[str, dict[str, IndexReport]]] = {}
-    for p in profiles:
-        by_discipline.setdefault(p.discipline, {})[p.author_key] = reports[p.author_key]
     cohorts = {
-        d: build_cohort(d, by_discipline[d], tags) for d in disciplines
+        scope: build_cohort(scope, {p.author_key: reports[p.author_key] for p in group}, tags)
+        for scope, group in scopes.items()
     }
-    cohorts[GLOBAL_SCOPE] = build_cohort(GLOBAL_SCOPE, reports, tags)
     return Pipeline(
-        config=config,
-        profiles=profiles,
-        disciplines=disciplines,
-        cohorts=cohorts,
-        reject_paths=reject_paths,
+        config=config, scopes=scopes, cohorts=cohorts, reject_paths=reject_paths
     )
-
-
-def _scopes(pipeline: Pipeline) -> list[str]:
-    """Per-discipline scopes first (sorted), the global scope last."""
-    return [*pipeline.disciplines, GLOBAL_SCOPE]
 
 
 def _scope_tags(pipeline: Pipeline) -> Iterator[tuple[str, str, CohortTable]]:
     """(scope, database tag, cohort) in report order: scopes outer, tags inner."""
-    for scope in _scopes(pipeline):
+    for scope, cohort in pipeline.cohorts.items():
         for tag in pipeline.config.db_tags:
-            yield scope, tag, pipeline.cohorts[scope]
+            yield scope, tag, cohort
 
 
 def _values(cohort: CohortTable, tag: str, key: str) -> list[int]:
@@ -273,8 +278,9 @@ def cmd_index(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
     """Per-(author, database) index rows plus per-discipline summaries."""
     rows = [
         (discipline, row.author_key, tag, *row.reports[tag])
-        for discipline in pipeline.disciplines
-        for row in sorted(pipeline.cohorts[discipline].rows, key=lambda r: r.author_key)
+        for discipline, cohort in pipeline.cohorts.items()
+        if discipline != GLOBAL_SCOPE
+        for row in sorted(cohort.rows, key=lambda r: r.author_key)
         for tag in pipeline.config.db_tags
     ]
     stats_rows = []
@@ -299,19 +305,11 @@ def cmd_overlap(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
     """Common/unique publication reconciliation per discipline and globally."""
     config = pipeline.config
     tags = config.db_tags
-    by_discipline: dict[str, list[AuthorProfile]] = {}
-    for p in pipeline.profiles:
-        by_discipline.setdefault(p.discipline, []).append(p)
     rows = []
     prop_rows = []
-    for scope in _scopes(pipeline):
-        whole = scope == GLOBAL_SCOPE
-        report = classify_overlap(
-            pipeline.profiles if whole else by_discipline.get(scope, []),
-            tags,
-            scope=None if whole else scope,
-            disciplines=pipeline.disciplines,
-        )
+    for scope, group in pipeline.scopes.items():
+        # Each group holds exactly its scope's authors, so none is filtered out.
+        report = classify_overlap(group, tags)._replace(scope=scope)
         for tag in tags:
             stats = report.per_db[tag]
             rows.append(
@@ -439,8 +437,8 @@ def cmd_corr(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
 def cmd_deviation(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
     """Sample sd of per-author cross-database differences, per index."""
     rows = [
-        (scope, key, analytics.diff_sd(pipeline.cohorts[scope], key))
-        for scope in _scopes(pipeline)
+        (scope, key, analytics.diff_sd(cohort, key))
+        for scope, cohort in pipeline.cohorts.items()
         for key in ("h", "h_c")
     ]
     return [

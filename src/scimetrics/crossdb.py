@@ -80,10 +80,9 @@ def classify_overlap(
     count observed for a DOI within the scope, mirroring the duplicate
     merge at parse time.
     """
-    known = set(disciplines) if disciplines is not None else {
-        p.discipline for p in profiles
-    }
-    if scope is not None and scope not in known:
+    if scope is not None and scope not in (
+        set(disciplines) if disciplines is not None else {p.discipline for p in profiles}
+    ):
         raise UnknownDiscipline(f"unknown discipline {scope!r}")
     author_count, dois = _scope_dois(profiles, scope, db_tags)
     a, b = db_tags

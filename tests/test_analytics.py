@@ -549,15 +549,17 @@ def test_stats_equal_statistics_module(values):
 # cohort assembly
 # ---------------------------------------------------------------------------
 
-def test_build_cohort_rows_follow_first_db_h_rank():
+def test_build_cohort_keeps_given_author_order():
     reports = {
-        "a0": {"scopus": report_for(10), "wos": report_for(2)},
         "a1": {"scopus": report_for(5), "wos": report_for(8)},
         "a2": {"scopus": report_for(7, k=2), "wos": report_for(7)},
+        "a0": {"scopus": report_for(10), "wos": report_for(2)},
     }
     cohort = cohort_of(reports)
-    # rows ordered by the first database's h rank
-    assert [r.author_key for r in cohort.rows] == ["a0", "a2", "a1"]
+    assert [r.author_key for r in cohort.rows] == ["a1", "a2", "a0"]
+    assert [r.reports for r in cohort.rows] == list(reports.values())
+    with pytest.raises(DegenerateInput):
+        cohort_of({})
 
 
 def test_cohort_from_profiles_computes_reports():

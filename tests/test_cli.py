@@ -531,10 +531,26 @@ def test_requires_exactly_two_databases(tmp_path, capsys):
         {"bins": 5},
         {"roster": 5},
         {"out": 5},
+        {"rounding": False},
+        {"rounding": 0},
+        {"rounding": {}},
+        {"format": 0},
+        {"format": []},
+        {"bins": ""},
+        {"out": ""},
+        {"records": {"scopus": ""}},
+        {"records": {"": "records.csv"}},
+        {"density-width": 10},
     ],
-    ids=["density_width", "density_width_fraction", "density_width_bool", "records", "disciplines", "bins", "roster", "out"],
+    ids=[
+        "density_width", "density_width_fraction", "density_width_bool", "records",
+        "disciplines", "bins", "roster", "out", "rounding_false", "rounding_zero",
+        "rounding_object", "format_zero", "format_list", "bins_empty", "out_empty",
+        "records_empty_path", "records_empty_tag", "unknown_key",
+    ],
 )
-def test_config_value_of_wrong_type_exits_2(value, tmp_path, capsys):
+def test_config_value_of_wrong_type_exits_2(value, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a value read as unset would write to ./out
     data = write_golden_fixture(tmp_path)
     cfg = {
         "records": {
@@ -551,6 +567,7 @@ def test_config_value_of_wrong_type_exits_2(value, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("scimetrics: ConfigError: ")
     assert err.count("\n") == 1
+    assert repr(next(iter(value))) in err  # the diagnostic names the key
 
 
 @pytest.mark.parametrize(

@@ -43,20 +43,20 @@ VARIANTS = {
 }
 
 
-def run_variant(variant: str, out: Path) -> tuple[str, str]:
+def run_variant(variant: str, out: Path, data: Path = SYNTHETIC) -> tuple[str, str]:
     """(digest listing, stdout with ``out`` written as OUT) of one variant."""
     key, extra = VARIANTS[variant]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         if key is None:
-            code = run_full_analysis.run(SYNTHETIC, out, extra)
+            code = run_full_analysis.run(data, out, extra)
         else:
             code = main(
                 [
                     "rank",
-                    "--records", f"{SYNTHETIC / 'records_scopus.csv'}@scopus",
-                    "--records", f"{SYNTHETIC / 'records_wos.csv'}@wos",
-                    "--roster", str(SYNTHETIC / "roster.csv"),
+                    "--records", f"{data / 'records_scopus.csv'}@scopus",
+                    "--records", f"{data / 'records_wos.csv'}@wos",
+                    "--roster", str(data / "roster.csv"),
                     "--out", str(out),
                     "--key", key,
                 ]
@@ -74,6 +74,19 @@ def test_reports_match_golden_digests(variant, tmp_path):
     listing, stdout = run_variant(variant, tmp_path / "out")
     assert listing == (GOLDEN / f"{variant}.sha256").read_text(encoding="utf-8")
     assert stdout == (GOLDEN / f"{variant}.stdout").read_text(encoding="utf-8")
+
+
+def test_reversed_roster_matches_golden_digests(tmp_path):
+    """No report depends on the order in which the roster lists its authors."""
+    data = tmp_path / "data"
+    shutil.copytree(SYNTHETIC, data)
+    header, *rows = (data / "roster.csv").read_text(encoding="utf-8").splitlines()
+    (data / "roster.csv").write_text(
+        "\n".join([header, *reversed(rows)]) + "\n", encoding="utf-8"
+    )
+    listing, stdout = run_variant("full", tmp_path / "out", data)
+    assert listing == (GOLDEN / "full.sha256").read_text(encoding="utf-8")
+    assert stdout == (GOLDEN / "full.stdout").read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

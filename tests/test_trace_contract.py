@@ -65,4 +65,8 @@ def test_traced_full_run_records_every_layer(tmp_path, capsys):
     families = {name for name in layers if name.startswith(tracing.FAMILY_SPAN)}
     assert families == {tracing.FAMILY_SPAN + family for family in scimetrics.cli.REPORTS}
     assert all(layers[name]["calls"] == 1 for name in families)
+    # The fixture has 6 scopes (5 disciplines and the global one): one cohort
+    # per scope and one ranking per (scope, database), none repeated.
+    assert layers["analytics.build_cohort"]["calls"] == 6
+    assert layers["analytics.rank_authors"]["calls"] == 12
     assert sum(sizes) == sum(p.stat().st_size for p in out.iterdir())
