@@ -21,7 +21,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from . import analytics
 from .analytics import BinSpec, CohortTable, build_cohort
-from .config import FORMATS, OUT_DIR_ENV, ROUNDING_MODES, RunConfig
+from .config import OUT_DIR_ENV, ROUNDING_MODES, RunConfig
 from .crossdb import GLOBAL_SCOPE, classify_overlap, overlap_proportions
 from .errors import ConfigError, EmptyScope, SchemaError, ScimetricsError
 from .indices import IndexReport, compute_hc
@@ -36,9 +36,6 @@ from .reports import round_half_up, write_csv, write_json
 
 INDEX_COLUMNS = IndexReport._fields  # an IndexReport unpacks in this order
 STATS_INDICES = ("h", "h_c", "g")
-CONFIG_KEYS = frozenset(
-    ("records", "roster", "out", "format", "bins", "disciplines", "density_width", "rounding")
-)
 PLOT_HEADER = ("series", "x", "y")
 
 
@@ -61,91 +58,133 @@ class Pipeline(NamedTuple):
 # Configuration assembly
 # ---------------------------------------------------------------------------
 
-def _parse_records_flag(value: str) -> tuple[str, str]:
-    path, sep, tag = value.rpartition("@")
-    if not sep or not path or not tag:
-        raise ConfigError(f"--records expects <path>@<dbtag>, got {value!r}")
-    return path, tag
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
-def _file_str(file_cfg: dict, key: str) -> str | None:
-    """A string entry of the config file, or None when it is unset."""
-    value = file_cfg.get(key)
-    if value is not None and not (isinstance(value, str) and value):
-        raise ConfigError(f"config file {key!r} must be a non-empty string")
+def _text(key: str, value: object) -> str:
+    if not (isinstance(value, str) and value):
+        raise ValueError(f"must be a non-empty string, got {value!r}")
     return value
 
 
+def _path(key: str, value: object) -> Path:
+    return Path(_text(key, value))
+
+
+def _choice(key: str, value: object) -> str:
+    choices = SETTINGS[key].choices
+    if value not in choices:
+        raise ValueError(f"must be one of {', '.join(choices)}, got {value!r}")
+    return value
+
+
+def _bins(key: str, value: object) -> BinSpec:
+    return BinSpec.parse(_text(key, value))
+
+
+def _density_width(key: str, value: object) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"must be a positive integer, got {value!r}")
+    return value
+
+
+def _disciplines(key: str, value: object) -> tuple[str, ...]:
+    if isinstance(value, str):
+        value = [d.strip() for d in value.split(",") if d.strip()]
+    if not (isinstance(value, list) and all(isinstance(d, str) for d in value)):
+        raise ValueError(f"must be a string or a list of strings, got {value!r}")
+    if not value:
+        raise ConfigError("declared discipline set must be non-empty")
+    return tuple(value)
+
+
+class Setting(NamedTuple):
+    """One setting, given as a flag or a config-file key: both obey ``check``.
+
+    ``check(key, value)`` turns a set value into the ``RunConfig`` field, or
+    raises ValueError saying what is wrong (a ConfigError is the whole message).
+    An unset setting keeps ``RunConfig``'s default, unless ``env`` is set.
+    """
+
+    check: Callable[[str, object], object]
+    help: str
+    choices: tuple[str, ...] = ()  # checked by ``check``; shown as the flag's metavar
+    type: Callable[[str], object] | None = None  # argparse's conversion of the flag
+    env: str | None = None
+    field: str | None = None  # the RunConfig field, when it is not named as the key
+
+
+# Config-file key -> setting, in flag order; the flag is the key with "-" for "_".
+# ``records`` is not here: its file map and ``--records`` flags merge by tag.
+SETTINGS = {
+    "roster": Setting(_path, "author roster CSV/JSON"),
+    "out": Setting(
+        _path,
+        f"output directory (default: ${OUT_DIR_ENV} or ./out)",
+        env=OUT_DIR_ENV,
+        field="out_dir",
+    ),
+    "format": Setting(_choice, "report formats (default both)", choices=("csv", "json", "both")),
+    "bins": Setting(_bins, 'bin spec such as "0-10,11-20,...,51+"'),
+    "density_width": Setting(_density_width, "histogram bin width (default 5)", type=int),
+    "disciplines": Setting(_disciplines, "comma-separated declared discipline set"),
+    "rounding": Setting(_choice, "report value formatting", choices=ROUNDING_MODES),
+}
+
+
+def _records(file_value: object, flags: list[str] | None) -> tuple[tuple[str, Path], ...]:
+    """The config file's dbtag -> path map, overridden per tag by ``--records`` flags."""
+    if not isinstance(file_value, dict) or not all(
+        tag and isinstance(p, str) and p for tag, p in file_value.items()
+    ):
+        raise ConfigError("config file 'records' must map dbtag -> path")
+    records = {tag: Path(p) for tag, p in file_value.items()}
+    for value in flags or []:
+        path, sep, tag = value.rpartition("@")
+        if not sep or not path or not tag:
+            raise ConfigError(f"--records expects <path>@<dbtag>, got {value!r}")
+        records[tag] = Path(path)
+    if len(records) != 2:
+        raise ConfigError(f"exactly two database tags required, got {sorted(records)}")
+    return tuple(records.items())
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge the optional config file with flags; flags win."""
+    """Each setting from its flag, else the config file, else its default.
+
+    Only an absent flag or key, or a JSON null, leaves a setting unset.
+    """
     file_cfg: dict = {}
-    if args.config:
+    if args.config is not None:
+        if not args.config:
+            raise ConfigError("invalid --config: must be a non-empty path")
         try:
-            file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8-sig"))
         except (ValueError, RecursionError) as exc:
             raise ConfigError(f"config file {args.config}: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = sorted(file_cfg.keys() - CONFIG_KEYS)
+        unknown = sorted(file_cfg.keys() - SETTINGS.keys() - {"records"})
         if unknown:
             raise ConfigError(f"unknown config file key(s): {', '.join(map(repr, unknown))}")
-        # Only an absent key or null leaves a setting unset.
-        file_cfg = {key: value for key, value in file_cfg.items() if value is not None}
 
-    file_records = file_cfg.get("records", {})
-    if not isinstance(file_records, dict) or not all(
-        tag and isinstance(p, str) and p for tag, p in file_records.items()
-    ):
-        raise ConfigError("config file 'records' must map dbtag -> path")
-    records: dict[str, Path] = {tag: Path(p) for tag, p in file_records.items()}
-    for value in args.records or []:
-        path, tag = _parse_records_flag(value)
-        records[tag] = Path(path)
-
-    roster = args.roster or _file_str(file_cfg, "roster")
-    if not records or not roster:
-        raise ConfigError("both --records (twice) and --roster are required")
-
-    out_dir = args.out or _file_str(file_cfg, "out") or os.environ.get(OUT_DIR_ENV) or "out"
-
-    fmt = args.format or _file_str(file_cfg, "format") or "both"
-    formats = FORMATS if fmt == "both" else (fmt,)
-
-    bins_text = args.bins or _file_str(file_cfg, "bins")
-    try:
-        bins = BinSpec.parse(bins_text) if bins_text else analytics.DEFAULT_BINS
-    except ValueError as exc:
-        raise ConfigError(f"invalid --bins: {exc}") from exc
-
-    disciplines = args.disciplines
-    if disciplines is None:
-        disciplines = file_cfg.get("disciplines")
-    if isinstance(disciplines, str):
-        disciplines = [d.strip() for d in disciplines.split(",") if d.strip()]
-    if disciplines is not None and not (
-        isinstance(disciplines, list) and all(isinstance(d, str) for d in disciplines)
-    ):
-        raise ConfigError("config file 'disciplines' must be a string or a list of strings")
-
-    density_width = args.density_width
-    if density_width is None:
-        density_width = file_cfg.get("density_width", 5)
-        if isinstance(density_width, bool) or not isinstance(density_width, int):
-            raise ConfigError(
-                f"config file 'density_width' must be an integer, got {density_width!r}"
-            )
-
-    config = RunConfig(
-        records=records,
-        roster=Path(roster),
-        out_dir=Path(out_dir),
-        disciplines=None if disciplines is None else tuple(disciplines),
-        bins=bins,
-        density_width=density_width,
-        formats=formats,
-        rounding=args.rounding or _file_str(file_cfg, "rounding") or "half-up",
-    )
-    return config.validate()
+    records = file_cfg.get("records")
+    fields = {"records": _records({} if records is None else records, args.records)}
+    for key, setting in SETTINGS.items():
+        value = getattr(args, key)
+        if value is None:
+            value = file_cfg.get(key)
+        if value is None and setting.env:
+            value = os.environ.get(setting.env) or None  # an empty variable is unset
+        if value is not None:
+            try:
+                fields[setting.field or key] = setting.check(key, value)
+            except ValueError as exc:
+                raise ConfigError(f"invalid {_flag(key)} (config key {key!r}): {exc}") from exc
+    if "roster" not in fields:
+        raise ConfigError("--roster (config key 'roster') is required")
+    return RunConfig(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +199,14 @@ def load_pipeline(config: RunConfig, reject_paths: list[Path] | None = None) -> 
     leaves them available; pass ``reject_paths`` to observe them even when
     this function raises.
     """
-    for path in [*config.records.values(), config.roster]:
-        if not Path(path).exists():
+    for path in [*(path for _, path in config.records), config.roster]:
+        if not path.exists():
             raise FileNotFoundError(f"input file not found: {path}")
 
     if reject_paths is None:
         reject_paths = []
     accepted = {}
-    for tag, path in config.records.items():
+    for tag, path in config.records:
         accepted[tag], rejects = parse_records(path, None, tag)
         if rejects:
             reject_path = config.out_dir / f"rejects_{tag}.csv"
@@ -179,19 +218,13 @@ def load_pipeline(config: RunConfig, reject_paths: list[Path] | None = None) -> 
     if not roster:
         raise SchemaError("empty roster")
 
-    roster_disciplines = sorted({entry.discipline for entry in roster})
-    if GLOBAL_SCOPE in (*roster_disciplines, *(config.disciplines or ())):
+    # A declared discipline that no roster author has gets no scope.
+    disciplines = sorted({entry.discipline for entry in roster})
+    if GLOBAL_SCOPE in (*disciplines, *(config.disciplines or ())):
         raise ConfigError(f"discipline name {GLOBAL_SCOPE!r} is reserved for the global scope")
-    if config.disciplines is not None:
-        declared = set(config.disciplines)
-        stray = sorted({e.discipline for e in roster} - declared)
-        if stray:
-            raise ConfigError(
-                f"roster disciplines not in the declared set: {', '.join(stray)}"
-            )
-        disciplines = [d for d in sorted(declared) if d in roster_disciplines]
-    else:
-        disciplines = roster_disciplines
+    stray = sorted(set(disciplines).difference(config.disciplines or disciplines))
+    if stray:
+        raise ConfigError(f"roster disciplines not in the declared set: {', '.join(stray)}")
 
     tags = config.db_tags
     profiles = build_profiles(accepted, roster, tags)
@@ -258,11 +291,11 @@ class Table(NamedTuple):
 def write_tables(config: RunConfig, tables: list[Table]) -> None:
     """Write every table in the configured formats, printing each path."""
     for table in tables:
-        if "csv" in config.formats:
+        if config.format in ("csv", "both"):
             path = config.out_dir / f"{table.name}.csv"
             write_csv(path, table.header, table.rows)
             print(f"wrote {path}")
-        if "json" in config.formats and not table.plot:
+        if config.format in ("json", "both") and not table.plot:
             path = config.out_dir / f"{table.name}.json"
             write_json(
                 path, table.name, table.header, table.rows, table.json_rows, table.footnotes
@@ -495,23 +528,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH@DBTAG",
         help="records export with its database tag; pass exactly twice",
     )
-    common.add_argument("--roster", help="author roster CSV/JSON")
-    common.add_argument(
-        "--out", help=f"output directory (default: ${OUT_DIR_ENV} or ./out)"
-    )
-    common.add_argument(
-        "--format", choices=(*FORMATS, "both"), help="report formats (default both)"
-    )
-    common.add_argument("--bins", help='bin spec such as "0-10,11-20,...,51+"')
-    common.add_argument(
-        "--density-width", type=int, help="histogram bin width (default 5)"
-    )
-    common.add_argument(
-        "--disciplines", help="comma-separated declared discipline set"
-    )
-    common.add_argument(
-        "--rounding", choices=ROUNDING_MODES, help="report value formatting"
-    )
+    for key, setting in SETTINGS.items():
+        # The setting's check, not argparse, rejects a value outside its choices.
+        metavar = "{" + ",".join(setting.choices) + "}" if setting.choices else None
+        common.add_argument(_flag(key), help=setting.help, metavar=metavar, type=setting.type)
     common.add_argument("--config", help="JSON config file; flags override it")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -535,10 +555,7 @@ def main(argv: list[str] | None = None, loaded: dict | None = None) -> int:
     try:
         config = build_config(args)
         pipeline = (loaded or {}).get("pipeline")
-        # Dict equality ignores key order, but the database order orders the reports.
-        if pipeline is not None and (pipeline.config, pipeline.config.db_tags) == (
-            config, config.db_tags
-        ):
+        if pipeline is not None and pipeline.config == config:
             reject_paths = pipeline.reject_paths
         else:
             pipeline = load_pipeline(config, reject_paths)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from scimetrics.cli import _pct, main
+from scimetrics.cli import SETTINGS, _pct, build_config, build_parser, main
 from scimetrics.config import RunConfig
 
 from helpers import read_csv
@@ -585,6 +585,102 @@ def test_empty_discipline_set_exits_2(flag, value, tmp_path, capsys):
     assert main(["index", *args_for(data, tmp_path / "out", *extra)]) == 2
     err = capsys.readouterr().err
     assert err == "scimetrics: ConfigError: declared discipline set must be non-empty\n"
+
+
+@pytest.mark.parametrize("flag", ["--bins", "--out", "--config"])
+def test_empty_flag_value_exits_2(flag, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a value read as unset would write to ./out
+    monkeypatch.delenv("SCIMETRICS_OUT", raising=False)
+    data = write_golden_fixture(tmp_path)
+    args = args_for(data, tmp_path / "out")
+    if flag in args:
+        del args[args.index(flag) : args.index(flag) + 2]
+    assert main(["bins", *args, flag, ""]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"scimetrics: ConfigError: invalid {flag}")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_with_utf8_bom(tmp_path):
+    data = write_golden_fixture(tmp_path)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"format": "csv"}).encode())
+    out = tmp_path / "out"
+    assert main(["index", *args_for(data, out, "--config", str(cfg_path))]) == 0
+    assert (out / "index_report.csv").exists()
+    assert not (out / "index_report.json").exists()
+
+
+# key -> (flag text, config-file value) of one valid and one invalid value
+VALID_SETTINGS = {
+    "roster": ("s.csv", "s.csv"),
+    "out": ("o", "o"),
+    "format": ("csv", "csv"),
+    "bins": ("0-2,3+", "0-2,3+"),
+    "density_width": ("3", 3),
+    "disciplines": ("b, a", ["b", "a"]),
+    "rounding": ("raw", "raw"),
+}
+INVALID_SETTINGS = {
+    "roster": ("", ""),
+    "out": ("", ""),
+    "format": ("xml", "xml"),
+    "bins": ("5+", "5+"),
+    "density_width": ("0", 0),
+    "disciplines": (" , ", " , "),
+    "rounding": ("up", "up"),
+}
+BASE_ARGS = ["--records", "a.csv@scopus", "--records", "b.csv@wos", "--roster", "r.csv"]
+
+
+def config_of(argv):
+    return build_config(build_parser().parse_args(["index", *argv]))
+
+
+def setting_sources(key, flag_value, file_value, tmp_path):
+    """(flag argv, config-file argv) that set ``key`` over the same base settings."""
+    base = BASE_ARGS[:-2] if key == "roster" else BASE_ARGS
+    cfg_path = tmp_path / f"{key}.json"
+    cfg_path.write_text(json.dumps({key: file_value}))
+    return [*base, "--" + key.replace("_", "-"), flag_value], [*base, "--config", str(cfg_path)]
+
+
+def test_settings_table_is_covered():
+    assert set(VALID_SETTINGS) == set(INVALID_SETTINGS) == set(SETTINGS)
+
+
+@pytest.mark.parametrize("key", sorted(VALID_SETTINGS))
+def test_valid_setting_is_the_same_from_flag_or_file(key, tmp_path, monkeypatch):
+    monkeypatch.delenv("SCIMETRICS_OUT", raising=False)
+    flag_argv, file_argv = setting_sources(key, *VALID_SETTINGS[key], tmp_path)
+    from_flag, from_file = config_of(flag_argv), config_of(file_argv)
+    assert from_flag == from_file
+    assert hash(from_flag) == hash(from_file)
+    field = SETTINGS[key].field or key
+    assert getattr(from_flag, field) != getattr(config_of(BASE_ARGS), field)
+
+
+@pytest.mark.parametrize("key", sorted(INVALID_SETTINGS))
+def test_invalid_setting_is_rejected_from_flag_or_file(key, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    errors = []
+    for argv in setting_sources(key, *INVALID_SETTINGS[key], tmp_path):
+        assert main(["index", *argv]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("scimetrics: ConfigError: ")
+    assert errors[0].count("\n") == 1
+    assert (repr(key) if key != "disciplines" else "discipline set") in errors[0]
+
+
+def test_records_order_is_database_order():
+    scopus, wos = BASE_ARGS[:2], BASE_ARGS[2:4]
+    first = config_of([*scopus, *wos, "--roster", "r.csv"])
+    second = config_of([*wos, *scopus, "--roster", "r.csv"])
+    assert first != second
+    assert first.db_tags == ("scopus", "wos") and second.db_tags == ("wos", "scopus")
+    assert len({first, second, first._replace()}) == 2
 
 
 def test_unknown_command_is_usage_error():

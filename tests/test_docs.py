@@ -1,0 +1,47 @@
+"""README's "Running" section documents the whole command line."""
+
+import argparse
+import json
+import re
+from pathlib import Path
+
+from scimetrics.cli import SETTINGS, build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+CONFIG_FILE_KEYS = ("records", *SETTINGS)
+
+
+def running_section() -> str:
+    text = README.read_text(encoding="utf-8")
+    return text.split("\n## Running\n", 1)[1].split("\n## ", 1)[0]
+
+
+def long_flags(parser: argparse.ArgumentParser) -> set[str]:
+    """Every ``--flag`` of ``parser`` and of its subcommands."""
+    flags = set()
+    for action in parser._actions:
+        flags.update(o for o in action.option_strings if o.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= long_flags(sub)
+    return flags
+
+
+def test_every_config_file_key_is_accepted(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(dict.fromkeys(CONFIG_FILE_KEYS)))
+    assert main(["index", "--config", str(cfg_path)]) == 2  # no records, but no unknown key
+    assert "unknown config file key" not in capsys.readouterr().err
+
+
+def test_running_names_every_config_file_key():
+    section = running_section()
+    assert [key for key in CONFIG_FILE_KEYS if f"`{key}`" not in section] == []
+
+
+def test_running_names_every_long_flag():
+    section = running_section()
+    flags = long_flags(build_parser())
+    assert {"--records", "--config", "--key", "--help"} <= flags
+    missing = [f for f in sorted(flags) if not re.search(rf"(?<![\w-]){f}(?![\w-])", section)]
+    assert missing == []
