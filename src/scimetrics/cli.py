@@ -172,16 +172,18 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     records = file_cfg.get("records")
     fields = {"records": _records({} if records is None else records, args.records)}
     for key, setting in SETTINGS.items():
+        source = f"{_flag(key)} (config key {key!r})"
         value = getattr(args, key)
         if value is None:
             value = file_cfg.get(key)
         if value is None and setting.env:
-            value = os.environ.get(setting.env) or None  # an empty variable is unset
+            source = f"${setting.env}"
+            value = os.environ.get(setting.env)
         if value is not None:
             try:
                 fields[setting.field or key] = setting.check(key, value)
             except ValueError as exc:
-                raise ConfigError(f"invalid {_flag(key)} (config key {key!r}): {exc}") from exc
+                raise ConfigError(f"invalid {source}: {exc}") from exc
     if "roster" not in fields:
         raise ConfigError("--roster (config key 'roster') is required")
     return RunConfig(**fields)
@@ -340,9 +342,15 @@ def cmd_overlap(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
     tags = config.db_tags
     rows = []
     prop_rows = []
+    disciplines = [scope for scope in pipeline.scopes if scope != GLOBAL_SCOPE]
+    # The disciplines come first and hold every profile between them, so by
+    # the global scope ``merged`` holds the global doi maps.
+    merged: dict[str, dict[str, int]] = {}
     for scope, group in pipeline.scopes.items():
-        # Each group holds exactly its scope's authors, so none is filtered out.
-        report = classify_overlap(group, tags)._replace(scope=scope)
+        if scope == GLOBAL_SCOPE:
+            report = classify_overlap(group, tags, merged=merged)
+        else:
+            report = classify_overlap(group, tags, scope, disciplines, merged=merged)
         for tag in tags:
             stats = report.per_db[tag]
             rows.append(

@@ -7,6 +7,7 @@ totals in the same shape as a per-discipline summary table.
 
 from __future__ import annotations
 
+from operator import countOf
 from typing import Iterable, NamedTuple
 
 from .errors import EmptyScope, UnknownDiscipline
@@ -71,6 +72,8 @@ def classify_overlap(
     db_tags: tuple[str, str],
     scope: str | None = None,
     disciplines: Iterable[str] | None = None,
+    *,
+    merged: dict[str, dict[str, int]] | None = None,
 ) -> OverlapReport:
     """Common/unique DOI counts and per-database aggregates for one scope.
 
@@ -78,13 +81,31 @@ def classify_overlap(
     shared by authors of two disciplines counts once in each discipline's
     report but only once globally. Citation aggregates use the maximum
     count observed for a DOI within the scope, mirroring the duplicate
-    merge at parse time.
+    merge at parse time; counts are non-negative, as ``parse_records``
+    accepts them.
+
+    ``merged`` lets one walk of each profile serve both reports. A call
+    with a ``scope`` max-merges that scope's per-database doi maps into
+    it. A global call reads its maps from it instead of walking
+    ``profiles``, which then only give the author count; that is right
+    only when the scoped calls before it merged every one of ``profiles``.
     """
     if scope is not None and scope not in (
         set(disciplines) if disciplines is not None else {p.discipline for p in profiles}
     ):
         raise UnknownDiscipline(f"unknown discipline {scope!r}")
-    author_count, dois = _scope_dois(profiles, scope, db_tags)
+    if scope is None and merged is not None:
+        author_count = len(profiles)
+        dois = {tag: merged.get(tag, {}) for tag in db_tags}
+    else:
+        author_count, dois = _scope_dois(profiles, scope, db_tags)
+        if merged is not None:
+            for tag, counts in dois.items():
+                into = merged.setdefault(tag, {})
+                shared = into.keys() & counts.keys()
+                kept = {doi: into[doi] for doi in shared if into[doi] > counts[doi]}
+                into.update(counts)
+                into.update(kept)  # a DOI an earlier scope gave more citations
     a, b = db_tags
     common = len(dois[a].keys() & dois[b].keys())
     per_db = {}
@@ -93,7 +114,7 @@ def classify_overlap(
         per_db[tag] = DbOverlapStats(
             total_pubs=len(counts),
             unique_pubs=len(counts) - common,
-            pubs_received_citations=sum(1 for c in counts.values() if c >= 1),
+            pubs_received_citations=len(counts) - countOf(counts.values(), 0),
             total_citations=sum(counts.values()),
         )
     return OverlapReport(

@@ -20,10 +20,9 @@ from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 from .errors import MalformedDoi, SchemaError, UnknownAuthor
 from .indices import CitationProfile
 
-_DOI_PREFIX = re.compile(r"https?://doi\.org/|doi:")
-# ASCII digits after "10.", then a suffix with no whitespace and no control
-# character (C0, DEL or C1).
-_DOI_SHAPE = re.compile(r"10\.[0-9]+/[^\s\x00-\x1f\x7f-\x9f]+")
+# An optional scheme/URL prefix, then the DOI: ASCII digits after "10.", then
+# a suffix with no whitespace and no control character (C0, DEL or C1).
+_DOI = re.compile(r"(?:https?://doi\.org/|doi:)?\s*(10\.[0-9]+/[^\s\x00-\x1f\x7f-\x9f]+)")
 _CITATIONS_SHAPE = re.compile(r"-?[0-9]+")
 
 RECORD_COLUMNS = ("author_key", "doi", "citations")
@@ -63,11 +62,8 @@ class AuthorProfile(NamedTuple):
 
 def _canonical_doi(raw: str) -> str | None:
     """``raw`` in canonical form, or None when it is not a DOI."""
-    doi = raw.strip()
-    lowered = doi.lower()
-    if prefix := _DOI_PREFIX.match(lowered):
-        lowered = doi[prefix.end() :].strip().lower()
-    return lowered if _DOI_SHAPE.fullmatch(lowered) else None
+    match = _DOI.fullmatch(raw.strip().lower())
+    return match[1] if match else None
 
 
 def normalize_doi(raw: str) -> str:
@@ -191,12 +187,14 @@ def _parse_citations(value) -> int | None:
     after stripping whitespace: no other scripts' digits, no underscores.
     """
     if isinstance(value, str):
-        if _CITATIONS_SHAPE.fullmatch(value := value.strip()):
-            try:
-                return int(value)
-            except ValueError:  # more digits than the interpreter converts
-                pass
-        return None
+        if not (value.isascii() and value.isdigit()):
+            value = value.strip()
+            if not _CITATIONS_SHAPE.fullmatch(value):
+                return None
+        try:
+            return int(value)
+        except ValueError:  # more digits than the interpreter converts
+            return None
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     return None
@@ -234,7 +232,7 @@ def parse_records(
     for rownum, (author_key, raw_doi, raw_citations, row_source) in enumerate(rows, 1):
         try:
             author_key = author_key.strip()
-            raw_doi = raw_doi.strip()
+            doi = _canonical_doi(raw_doi)
             row_source = row_source.strip()
         except AttributeError:  # a JSON value that is neither a string nor null
             field = _non_string(
@@ -243,14 +241,11 @@ def parse_records(
             key = author_key if isinstance(author_key, str) else ""
             rejects.append(Reject(rownum, key, f"invalid {field}"))
             continue
-        doi = _canonical_doi(raw_doi)
         citations = _parse_citations(raw_citations)
         if not author_key:
             reason = "missing author_key"
-        elif not raw_doi:
-            reason = "missing doi"
         elif doi is None:
-            reason = "malformed doi"
+            reason = "malformed doi" if raw_doi.strip() else "missing doi"
         elif citations is None:
             reason = "invalid citations"
         elif citations < 0:
@@ -258,7 +253,9 @@ def parse_records(
         elif row_source and row_source != source:
             reason = "source mismatch"
         else:
-            pubs = accepted.setdefault(author_key, {})
+            pubs = accepted.get(author_key)
+            if pubs is None:
+                pubs = accepted[author_key] = {}
             prior = pubs.get(doi)
             if prior is None:
                 pubs[doi] = citations

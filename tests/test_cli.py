@@ -409,6 +409,19 @@ def test_env_var_default_out_dir(tmp_path, monkeypatch):
     assert (out / "index_report.csv").exists()
 
 
+def test_empty_env_var_out_dir_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a value read as unset would write to ./out
+    monkeypatch.setenv("SCIMETRICS_OUT", "")
+    data = write_golden_fixture(tmp_path)
+    args = args_for(data, tmp_path / "out")
+    del args[args.index("--out") : args.index("--out") + 2]
+    assert main(["index", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scimetrics: ConfigError: invalid $SCIMETRICS_OUT: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_format_selection(tmp_path):
     data = write_golden_fixture(tmp_path)
     out_csv = tmp_path / "csv_only"

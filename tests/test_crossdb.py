@@ -1,12 +1,15 @@
 """DOI reconciliation: overlap classification and proportions."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from scimetrics.crossdb import classify_overlap, overlap_proportions
+from scimetrics.cli import Pipeline, cmd_overlap
+from scimetrics.config import RunConfig
+from scimetrics.crossdb import GLOBAL_SCOPE, classify_overlap, overlap_proportions
 from scimetrics.errors import EmptyScope, UnknownDiscipline
 from scimetrics.ingest import AuthorProfile
 
@@ -117,6 +120,26 @@ def test_scope_given_only_its_own_profiles_matches_full_list(specs):
         assert classify_overlap(
             own, DB_TAGS, scope=scope, disciplines=DISCIPLINES
         ) == classify_overlap(profiles, DB_TAGS, scope=scope, disciplines=DISCIPLINES)
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from(DISCIPLINES), doi_maps, doi_maps), min_size=1, max_size=12)
+)
+def test_overlap_report_global_row_equals_flat_classification(specs):
+    # DOIs shared across disciplines, with unequal and zero counts. The global
+    # rows, merged from the discipline maps, must equal one flat walk of every
+    # profile, and each discipline's rows that discipline's own classification.
+    profiles = [make_profile(f"a{i}", *spec) for i, spec in enumerate(specs)]
+    scopes = {d: [p for p in profiles if p.discipline == d] for d in DISCIPLINES}
+    scopes = {d: group for d, group in scopes.items() if group}
+    scopes[GLOBAL_SCOPE] = profiles
+    expected = []
+    for scope in scopes:
+        r = classify_overlap(profiles, DB_TAGS, None if scope == GLOBAL_SCOPE else scope)
+        expected += [(scope, r.author_count, t, *r.per_db[t], r.common_pubs) for t in DB_TAGS]
+    config = RunConfig(records=tuple((tag, Path(tag)) for tag in DB_TAGS), roster=Path("r"))
+    overlap, _ = cmd_overlap(Pipeline(config, scopes, {}, []), None)
+    assert overlap.rows == expected
 
 
 def _random_profiles(rng, n_records=200):

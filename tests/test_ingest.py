@@ -2,15 +2,18 @@
 
 import io
 import json
+import re
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scimetrics.errors import MalformedDoi, SchemaError, UnknownAuthor
 from scimetrics.ingest import (
     AuthorProfile,
+    _canonical_doi,
+    _parse_citations,
     RosterEntry,
     build_profiles,
     normalize_doi,
@@ -95,6 +98,101 @@ def test_doi_with_control_or_space_is_rejected_as_malformed():
 def test_normalize_doi_idempotent(suffix, prefix):
     normalized = normalize_doi(prefix + suffix)
     assert normalize_doi(normalized) == normalized
+
+
+# The previous _canonical_doi and _parse_citations, bodies kept verbatim, as
+# oracles for the single DOI regex and the ASCII-digit fast path.
+_DOI_PREFIX = re.compile(r"https?://doi\.org/|doi:")
+_DOI_SHAPE = re.compile(r"10\.[0-9]+/[^\s\x00-\x1f\x7f-\x9f]+")
+_CITATIONS_SHAPE = re.compile(r"-?[0-9]+")
+
+
+def oracle_canonical_doi(raw: str) -> str | None:
+    """``raw`` in canonical form, or None when it is not a DOI."""
+    doi = raw.strip()
+    lowered = doi.lower()
+    if prefix := _DOI_PREFIX.match(lowered):
+        lowered = doi[prefix.end() :].strip().lower()
+    return lowered if _DOI_SHAPE.fullmatch(lowered) else None
+
+
+def oracle_parse_citations(value) -> int | None:
+    """Citation count as int, or None when unparseable (bool is rejected).
+
+    A string count must be ASCII digits with an optional leading minus
+    after stripping whitespace: no other scripts' digits, no underscores.
+    """
+    if isinstance(value, str):
+        if _CITATIONS_SHAPE.fullmatch(value := value.strip()):
+            try:
+                return int(value)
+            except ValueError:  # more digits than the interpreter converts
+                pass
+        return None
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    return None
+
+
+def mixed_case(text: str):
+    return st.lists(st.booleans(), min_size=len(text), max_size=len(text)).map(
+        lambda upper: "".join(c.upper() if u else c for c, u in zip(text, upper))
+    )
+
+
+# Unicode whitespace, C0/C1 controls, and letters whose lowercase is ASCII
+# (Kelvin sign), longer than one character (dotted I) or context-dependent
+# (capital sigma).
+SPACES = " \t\n\x1c\x85\u00a0\u2028\u3000"
+TRICKY = SPACES + "\x00\x1f\x7f\x9f\u212aK\u0130\u03a3/.:-"
+padding = st.one_of(
+    st.text(st.sampled_from(SPACES), max_size=2),
+    st.text(st.one_of(st.sampled_from(TRICKY), st.characters()), max_size=3),
+)
+doi_like = st.builds(
+    "".join,
+    st.tuples(
+        padding,
+        st.sampled_from(["", "doi:", "http://doi.org/", "https://doi.org/"]).flatmap(mixed_case),
+        padding,
+        st.sampled_from(["10.", "10.", "10", "", "1O."]),
+        st.one_of(
+            st.text(st.sampled_from("0123456789"), min_size=1, max_size=4),
+            st.text(st.sampled_from("0123456789\u0663\uff11"), max_size=4),
+        ),
+        st.sampled_from(["/", "/", ""]),
+        st.text(st.sampled_from("aZ09.-_;()/\u212a\u0130\u03a3" + TRICKY), max_size=6),
+        padding,
+    ),
+)
+
+
+@settings(max_examples=300)
+@given(st.one_of(doi_like, st.text()))
+@example("doi:10.1/a\x9fb")
+@example("doi:\u212a10.1/x")
+@example("doi:\u013010.1/x")
+@example("doi:\u03a310.1/x")
+@example("DOI:\u00a0\u202810.1/\u03a3\u212a\u0130")
+def test_canonical_doi_agrees_with_previous_implementation(raw):
+    assert _canonical_doi(raw) == oracle_canonical_doi(raw)
+
+
+citation_text = st.text(
+    st.sampled_from("0123456789-+ \t\u00a0\u2028\u0663\u00b2\uff11_."), max_size=8
+)
+long_digits = st.builds(
+    lambda lead, n, trail: lead + "9" * n + trail,
+    st.sampled_from(["", " ", "-", "0"]),
+    st.integers(4290, 5000),  # around int()'s default limit of 4300 digits
+    st.sampled_from(["", " ", "\n"]),
+)
+
+
+@settings(max_examples=300)
+@given(st.one_of(citation_text, long_digits, st.integers(), st.booleans(), st.none()))
+def test_parse_citations_agrees_with_previous_implementation(value):
+    assert _parse_citations(value) == oracle_parse_citations(value)
 
 
 # ---------------------------------------------------------------------------

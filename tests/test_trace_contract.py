@@ -69,4 +69,8 @@ def test_traced_full_run_records_every_layer(tmp_path, capsys):
     # per scope and one ranking per (scope, database), none repeated.
     assert layers["analytics.build_cohort"]["calls"] == 6
     assert layers["analytics.rank_authors"]["calls"] == 12
+    # One parse per export, and one overlap classification per scope with
+    # each profile walk inside it (the global scope merges the disciplines').
+    assert layers["ingest.parse_records"]["calls"] == 2
+    assert layers["crossdb.classify_overlap"]["calls"] == 6
     assert sum(sizes) == sum(p.stat().st_size for p in out.iterdir())
