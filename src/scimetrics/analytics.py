@@ -110,24 +110,14 @@ class CohortTable(NamedTuple):
     rows: tuple[CohortRow, ...]
 
 
-class BinnedCounts(NamedTuple):
-    bins: BinSpec
-    counts: tuple[int, ...]
-    proportions: tuple[float, ...]
-
-
 class StatsSummary(NamedTuple):
-    """Five-number summary; sd uses the n-1 denominator.
-
-    For a single value the sd is reported as 0.0 with degenerate=True.
-    """
+    """Five-number summary; sd uses the n-1 denominator, and is 0.0 for one value."""
 
     minimum: int
     maximum: int
     median: float
     mean: float
     sd: float
-    degenerate: bool = False
 
 
 def rank_authors(
@@ -167,19 +157,14 @@ def build_cohort(
     return CohortTable(discipline=discipline, db_tags=db_tags, rows=rows)
 
 
-def bin_proportions(values: Sequence[int], bins: BinSpec) -> BinnedCounts:
-    """Counts and fractions of values per bin; fractions sum to 1."""
+def bin_proportions(values: Sequence[int], bins: BinSpec) -> tuple[int, ...]:
+    """The number of values in each bin, in bin order; they sum to ``len(values)``."""
     if not values:
         raise DegenerateInput("no values to bin")
     counts = [0] * len(bins.bounds)
     for v, c in Counter(values).items():
         counts[bins.index_of(v)] += c
-    n = len(values)
-    return BinnedCounts(
-        bins=bins,
-        counts=tuple(counts),
-        proportions=tuple(c / n for c in counts),
-    )
+    return tuple(counts)
 
 
 def _centred_ranks(values: Sequence[float]) -> list[int]:
@@ -198,12 +183,6 @@ def _centred_ranks(values: Sequence[float]) -> list[int]:
         code[v] = acc + c
         acc += 2 * c
     return [code[v] for v in values]
-
-
-def fractional_ranks(values: Sequence[float]) -> list[float]:
-    """Ascending ranks 1..n; tied values share the average of their positions."""
-    n1 = len(values) + 1
-    return [(d + n1) / 2 for d in _centred_ranks(values)]
 
 
 def spearman_rho(pairs: Sequence[tuple[float, float]]) -> float:
@@ -295,14 +274,12 @@ def stats_summary(values: Sequence[int]) -> StatsSummary:
     ordered = sorted(values)
     n = len(ordered)
     mid = n // 2
-    degenerate = n < 2
     return StatsSummary(
         minimum=ordered[0],
         maximum=ordered[-1],
         median=float(ordered[mid]) if n % 2 else (ordered[mid - 1] + ordered[mid]) / 2,
         mean=sum(ordered) / n,
-        sd=0.0 if degenerate else _sample_sd(ordered),
-        degenerate=degenerate,
+        sd=_sample_sd(ordered) if n > 1 else 0.0,
     )
 
 

@@ -23,7 +23,7 @@ from . import analytics
 from .analytics import BinSpec, CohortTable, build_cohort
 from .config import OUT_DIR_ENV, ROUNDING_MODES, RunConfig
 from .crossdb import GLOBAL_SCOPE, classify_overlap, overlap_proportions
-from .errors import ConfigError, EmptyScope, SchemaError, ScimetricsError
+from .errors import ConfigError, DegenerateInput, EmptyScope, SchemaError, ScimetricsError
 from .indices import IndexReport, compute_hc
 from .ingest import (
     AuthorProfile,
@@ -269,7 +269,7 @@ def _pct(config: RunConfig, count: int, total: int) -> float:
         return 0.0
     if config.rounding == "half-up":
         return (2000 * count + total) // (2 * total) / 10
-    return count / total * 100.0
+    return 100 * count / total
 
 
 def _rho(config: RunConfig, rho: float) -> float:
@@ -342,15 +342,11 @@ def cmd_overlap(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
     tags = config.db_tags
     rows = []
     prop_rows = []
-    disciplines = [scope for scope in pipeline.scopes if scope != GLOBAL_SCOPE]
     # The disciplines come first and hold every profile between them, so by
     # the global scope ``merged`` holds the global doi maps.
     merged: dict[str, dict[str, int]] = {}
     for scope, group in pipeline.scopes.items():
-        if scope == GLOBAL_SCOPE:
-            report = classify_overlap(group, tags, merged=merged)
-        else:
-            report = classify_overlap(group, tags, scope, disciplines, merged=merged)
+        report = classify_overlap(group, tags, scope, merged=merged)
         for tag in tags:
             stats = report.per_db[tag]
             rows.append(
@@ -438,11 +434,11 @@ def cmd_bins(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
         header += [f"h_{label}", f"hc_{label}"]
     rows = []
     for scope, tag, cohort in _scope_tags(pipeline):
-        h_bins = analytics.bin_proportions(_values(cohort, tag, "h"), config.bins)
-        hc_bins = analytics.bin_proportions(_values(cohort, tag, "h_c"), config.bins)
+        h_counts = analytics.bin_proportions(_values(cohort, tag, "h"), config.bins)
+        hc_counts = analytics.bin_proportions(_values(cohort, tag, "h_c"), config.bins)
         n = len(cohort.rows)
         row = [scope, tag]
-        for h_count, hc_count in zip(h_bins.counts, hc_bins.counts):
+        for h_count, hc_count in zip(h_counts, hc_counts):
             row += [_pct(config, h_count, n), _pct(config, hc_count, n)]
         rows.append(tuple(row))
     return [Table("author_bins", tuple(header), rows)]
@@ -476,18 +472,28 @@ def cmd_corr(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
 
 
 def cmd_deviation(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
-    """Sample sd of per-author cross-database differences, per index."""
-    rows = [
-        (scope, key, analytics.diff_sd(cohort, key))
-        for scope, cohort in pipeline.cohorts.items()
-        for key in ("h", "h_c")
-    ]
+    """Sample sd of per-author cross-database differences, per index.
+
+    A one-author scope has no sd: its cell is absent (-) and it has no plot point.
+    """
+    json_rows = []
+    for scope, cohort in pipeline.cohorts.items():
+        for key in ("h", "h_c"):
+            try:
+                json_rows.append((scope, key, analytics.diff_sd(cohort, key)))
+            except DegenerateInput:
+                json_rows.append((scope, key, None))
     return [
-        Table("index_deviation", ("discipline", "index", "sd"), rows),
+        Table(
+            "index_deviation",
+            ("discipline", "index", "sd"),
+            [(scope, key, "-" if sd is None else sd) for scope, key, sd in json_rows],
+            json_rows=json_rows,
+        ),
         Table(
             "index_deviation_plot",
             PLOT_HEADER,
-            [(key, scope, sd) for scope, key, sd in rows],
+            [(key, scope, sd) for scope, key, sd in json_rows if sd is not None],
             plot=True,
         ),
     ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 from operator import countOf
 from typing import Iterable, NamedTuple
 
-from .errors import EmptyScope, UnknownDiscipline
+from .errors import EmptyScope
 from .ingest import AuthorProfile
 
 GLOBAL_SCOPE = "all"
@@ -28,7 +28,6 @@ class DbOverlapStats(NamedTuple):
 class OverlapReport(NamedTuple):
     scope: str
     author_count: int
-    db_tags: tuple[str, str]
     per_db: dict[str, DbOverlapStats]
     common_pubs: int
 
@@ -50,55 +49,46 @@ class OverlapProportions(NamedTuple):
 
 
 def _scope_dois(
-    profiles: Iterable[AuthorProfile], scope: str | None, db_tags: tuple[str, str]
-) -> tuple[int, dict[str, dict[str, int]]]:
-    """Author count and, per database, the scope's doi -> max citations map."""
-    count = 0
+    profiles: Iterable[AuthorProfile], db_tags: tuple[str, str]
+) -> dict[str, dict[str, int]]:
+    """Per database, the profiles' doi -> max citations map."""
     dois: dict[str, dict[str, int]] = {tag: {} for tag in db_tags}
     for profile in profiles:
-        if scope is not None and profile.discipline != scope:
-            continue
-        count += 1
         for tag in db_tags:
             seen = dois[tag]
             for doi, citations in profile.per_db_publications.get(tag, {}).items():
                 if citations > seen.get(doi, -1):
                     seen[doi] = citations
-    return count, dois
+    return dois
 
 
 def classify_overlap(
     profiles: list[AuthorProfile],
     db_tags: tuple[str, str],
-    scope: str | None = None,
-    disciplines: Iterable[str] | None = None,
+    scope: str = GLOBAL_SCOPE,
     *,
     merged: dict[str, dict[str, int]] | None = None,
 ) -> OverlapReport:
     """Common/unique DOI counts and per-database aggregates for one scope.
 
-    ``scope`` is a discipline label, or None for the global report. A DOI
-    shared by authors of two disciplines counts once in each discipline's
-    report but only once globally. Citation aggregates use the maximum
-    count observed for a DOI within the scope, mirroring the duplicate
-    merge at parse time; counts are non-negative, as ``parse_records``
-    accepts them.
+    ``profiles`` are the scope's authors and ``scope`` labels the report:
+    a discipline, or ``GLOBAL_SCOPE`` (the default) for every author. A
+    DOI shared by authors of two disciplines counts once in each
+    discipline's report but only once globally. Citation aggregates use
+    the maximum count observed for a DOI within the scope, mirroring the
+    duplicate merge at parse time; counts are non-negative, as
+    ``parse_records`` accepts them.
 
-    ``merged`` lets one walk of each profile serve both reports. A call
-    with a ``scope`` max-merges that scope's per-database doi maps into
-    it. A global call reads its maps from it instead of walking
-    ``profiles``, which then only give the author count; that is right
-    only when the scoped calls before it merged every one of ``profiles``.
+    ``merged`` lets one walk of each profile serve both reports. A
+    discipline's call max-merges its per-database doi maps into it. A
+    global call reads its maps from it instead of walking ``profiles``,
+    which then only give the author count; that is right only when the
+    discipline calls before it merged every one of ``profiles``.
     """
-    if scope is not None and scope not in (
-        set(disciplines) if disciplines is not None else {p.discipline for p in profiles}
-    ):
-        raise UnknownDiscipline(f"unknown discipline {scope!r}")
-    if scope is None and merged is not None:
-        author_count = len(profiles)
+    if scope == GLOBAL_SCOPE and merged is not None:
         dois = {tag: merged.get(tag, {}) for tag in db_tags}
     else:
-        author_count, dois = _scope_dois(profiles, scope, db_tags)
+        dois = _scope_dois(profiles, db_tags)
         if merged is not None:
             for tag, counts in dois.items():
                 into = merged.setdefault(tag, {})
@@ -118,9 +108,8 @@ def classify_overlap(
             total_citations=sum(counts.values()),
         )
     return OverlapReport(
-        scope=scope if scope is not None else GLOBAL_SCOPE,
-        author_count=author_count,
-        db_tags=db_tags,
+        scope=scope,
+        author_count=len(profiles),
         per_db=per_db,
         common_pubs=common,
     )

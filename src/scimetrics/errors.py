@@ -17,10 +17,6 @@ class UnknownAuthor(ScimetricsError):
     """A publication record references an author_key absent from the roster."""
 
 
-class UnknownDiscipline(ScimetricsError):
-    """A scope label is not part of the run's declared discipline set."""
-
-
 class EmptyScope(ScimetricsError):
     """A scope holds no publications, so proportions are undefined."""
 

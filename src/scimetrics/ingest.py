@@ -91,7 +91,7 @@ def _infer_format(data, fmt: str | None) -> str:
 
 
 def _rows(
-    data: bytes | str | os.PathLike | IO[bytes],
+    data: bytes | str | os.PathLike,
     fmt: str | None,
     required: tuple[str, ...],
     fields: tuple[str, ...],
@@ -106,31 +106,19 @@ def _rows(
     column. A blank line is skipped and takes no row number, a missing
     field reads "", and fields past the header are ignored. ``fields``
     holds at least two names, so that ``itemgetter`` returns a tuple.
-    A stream passed in is left open.
     """
     json_input = _infer_format(data, fmt) == "json"
-    if isinstance(data, bytes):
-        binary = io.BytesIO(data)
-    elif hasattr(data, "read"):
-        binary = data
-    else:
-        binary = open(data, "rb")
-    start = binary.tell() if binary.seekable() else None
-    text = io.TextIOWrapper(binary, encoding="utf-8-sig", newline="")
-    try:
-        if json_input:
-            for item in _json_objects(text.read()):
-                yield tuple("" if v is None else v for v in map(item.get, fields))
-        else:
-            yield from _csv_rows(text, required, fields)
-    except UnicodeDecodeError as exc:
-        where = "" if start is None else f" at line {_bad_line(binary, start)}"
-        raise SchemaError(f"input is not valid UTF-8{where}: {exc.reason}") from exc
-    finally:
-        if binary is data:
-            text.detach()
-        else:
-            text.close()
+    binary = io.BytesIO(data) if isinstance(data, bytes) else open(data, "rb")
+    with io.TextIOWrapper(binary, encoding="utf-8-sig", newline="") as text:
+        try:
+            if json_input:
+                for item in _json_objects(text.read()):
+                    yield tuple("" if v is None else v for v in map(item.get, fields))
+            else:
+                yield from _csv_rows(text, required, fields)
+        except UnicodeDecodeError as exc:
+            line = _bad_line(binary)
+            raise SchemaError(f"input is not valid UTF-8 at line {line}: {exc.reason}") from exc
 
 
 def _csv_rows(
@@ -158,9 +146,9 @@ def _csv_rows(
         raise SchemaError(f"invalid CSV at line {reader.line_num}: {exc}") from exc
 
 
-def _bad_line(binary: IO[bytes], start: int) -> int:
-    """1-based line of the first byte from ``start`` on that is not UTF-8."""
-    binary.seek(start)
+def _bad_line(binary: IO[bytes]) -> int:
+    """1-based line of the first byte that is not UTF-8."""
+    binary.seek(0)
     raw = binary.read()
     try:
         raw.decode("utf-8")
@@ -206,15 +194,15 @@ def _non_string(*named: tuple[str, object]) -> str:
 
 
 def parse_records(
-    data: bytes | str | os.PathLike | IO[bytes],
+    data: bytes | str | os.PathLike,
     fmt: str | None = None,
     source: str = "scopus",
 ) -> tuple[DoiMap, list[Reject]]:
     """Parse one database export into its doi map plus a reject list.
 
-    ``data`` is a path, raw bytes, or a readable binary stream; ``fmt`` is
-    "csv" or "json" (inferred from a path suffix when None). ``source`` is
-    the database tag the file was registered under.
+    ``data`` is a path or raw bytes; ``fmt`` is "csv" or "json" (inferred
+    from a path suffix when None). ``source`` is the database tag the file
+    was registered under.
 
     The accepted records come back as ``{author_key: {doi: citations}}``,
     in order of each author's and each DOI's first accepted row. Rows
@@ -268,7 +256,7 @@ def parse_records(
 
 
 def parse_roster(
-    data: bytes | str | os.PathLike | IO[bytes], fmt: str | None = None
+    data: bytes | str | os.PathLike, fmt: str | None = None
 ) -> list[RosterEntry]:
     """Parse the author roster (CSV or JSON array) into roster entries.
 

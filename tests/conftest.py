@@ -1,8 +1,28 @@
+import faulthandler
+import sys
+
 import pytest
+from _pytest.faulthandler import fault_handler_stderr_fd_key
 
 from scimetrics.indices import CitationProfile
 
 pytest_plugins = ["pytester"]
+
+# Seconds one test may run before pytest exits with a traceback of every
+# thread, so that a hang fails the run instead of blocking it. The whole suite
+# takes under 20 s.
+TEST_TIME_LIMIT = 120
+
+
+@pytest.fixture(autouse=True)
+def time_limit(request):
+    # pytest's faulthandler plugin keeps a copy of the stderr that output
+    # capture does not swallow; the traceback goes there.
+    stderr = request.config.stash.get(fault_handler_stderr_fd_key, sys.stderr)
+    faulthandler.dump_traceback_later(TEST_TIME_LIMIT, exit=True, file=stderr)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+
 
 # Three demonstration profiles: a top paper that is not dominant (k=0),
 # moderately dominant (k=2), and strongly dominant (k=3).

@@ -288,12 +288,15 @@ def test_pct_half_up_matches_fraction_oracle():
     assert _pct(config, 0, 0) == 0.0
 
 
-def test_pct_raw_is_one_share_times_100():
+def test_pct_raw_is_one_correctly_rounded_division():
     config = RunConfig(records={}, roster=Path(), out_dir=Path(), rounding="raw")
     for n in range(1, 161):
         for c in range(n + 1):
-            assert _pct(config, c, n) == c / n * 100.0
+            assert _pct(config, c, n) == float(Fraction(100 * c, n)), (c, n)
     assert _pct(config, 0, 0) == 0.0
+    # A share times 100 rounds twice and misses the nearest double.
+    assert 1 / 12 * 100.0 == 8.333333333333332
+    assert _pct(config, 1, 12) == 8.333333333333334
 
 
 def test_corr_table_absent_cells(tmp_path):
@@ -373,13 +376,26 @@ def test_deviation_identical_databases_is_zero(tmp_path):
     assert {row[2] for row in rows} == {"0.0"}
 
 
-def test_deviation_single_author_cohort_exits_2(tmp_path, capsys):
+def test_deviation_single_author_scope_is_absent(tmp_path):
     data = write_golden_fixture(tmp_path)
     roster = (data / "roster.csv").read_text().splitlines()
     roster[1] = roster[1].replace("casebook", "solo")  # a1 now alone in 'solo'
     (data / "roster.csv").write_text("\n".join(roster) + "\n")
-    assert main(["deviation", *args_for(data, tmp_path / "out")]) == 2
-    assert "DegenerateInput" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["deviation", *args_for(data, out)]) == 0
+    _, rows = read_csv(out / "index_deviation.csv")
+    assert rows == [
+        ["casebook", "h", "0.0"],
+        ["casebook", "h_c", "0.0"],
+        ["solo", "h", "-"],
+        ["solo", "h_c", "-"],
+        ["all", "h", "0.0"],
+        ["all", "h_c", "0.0"],
+    ]
+    payload = json.loads((out / "index_deviation.json").read_text())
+    assert [row["sd"] for row in payload["rows"]] == [0.0, 0.0, None, None, 0.0, 0.0]
+    _, plot_rows = read_csv(out / "index_deviation_plot.csv")
+    assert [row[1] for row in plot_rows] == ["casebook", "casebook", "all", "all"]
 
 
 def test_density_mass_is_one_per_series(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scimetrics.cli import Pipeline, cmd_overlap
 from scimetrics.config import RunConfig
 from scimetrics.crossdb import GLOBAL_SCOPE, classify_overlap, overlap_proportions
-from scimetrics.errors import EmptyScope, UnknownDiscipline
+from scimetrics.errors import EmptyScope
 from scimetrics.ingest import AuthorProfile
 
 DB_TAGS = ("scopus", "wos")
@@ -22,6 +22,11 @@ def make_profile(author, discipline, scopus=(), wos=()):
         discipline=discipline,
         per_db_publications={"scopus": dict(scopus), "wos": dict(wos)},
     )
+
+
+def own(profiles, discipline):
+    """The profiles of one discipline's authors, as ``cmd_overlap`` groups them."""
+    return [p for p in profiles if p.discipline == discipline]
 
 
 def test_basic_set_algebra():
@@ -49,24 +54,6 @@ def test_disjoint_sets():
     assert report.per_db["wos"].unique_pubs == 1
 
 
-def test_scope_filters_by_discipline():
-    profiles = [
-        make_profile("a1", "physics", scopus=[("10.1/a", 1)]),
-        make_profile("a2", "biology", scopus=[("10.1/b", 1)], wos=[("10.1/b", 1)]),
-    ]
-    report = classify_overlap(profiles, DB_TAGS, scope="biology")
-    assert report.scope == "biology"
-    assert report.author_count == 1
-    assert report.common_pubs == 1
-    assert report.per_db["scopus"].total_pubs == 1
-
-
-def test_unknown_discipline():
-    profiles = [make_profile("a1", "physics", scopus=[("10.1/a", 1)])]
-    with pytest.raises(UnknownDiscipline):
-        classify_overlap(profiles, DB_TAGS, scope="alchemy")
-
-
 def test_shared_doi_within_scope_counts_once():
     profiles = [
         make_profile("a1", "physics", scopus=[("10.1/a", 5)]),
@@ -84,8 +71,10 @@ def test_cross_discipline_doi_counts_once_globally():
     ]
     global_report = classify_overlap(profiles, DB_TAGS)
     per_discipline = [
-        classify_overlap(profiles, DB_TAGS, scope=d) for d in ("physics", "biology")
+        classify_overlap(own(profiles, d), DB_TAGS, scope=d) for d in ("physics", "biology")
     ]
+    scopes = [r.scope for r in (global_report, *per_discipline)]
+    assert scopes == [GLOBAL_SCOPE, "physics", "biology"]
     summed = sum(r.per_db["scopus"].total_pubs for r in per_discipline)
     assert global_report.per_db["scopus"].total_pubs == 1
     assert summed == 2  # once per discipline, once globally
@@ -97,7 +86,7 @@ def test_partitioning_disciplines_sum_to_global():
         make_profile("a2", "biology", scopus=[("10.2/b", 2)], wos=[("10.2/c", 0)]),
     ]
     global_report = classify_overlap(profiles, DB_TAGS)
-    parts = [classify_overlap(profiles, DB_TAGS, scope=d) for d in ("physics", "biology")]
+    parts = [classify_overlap(own(profiles, d), DB_TAGS, d) for d in ("physics", "biology")]
     for tag in DB_TAGS:
         assert global_report.per_db[tag].total_pubs == sum(
             p.per_db[tag].total_pubs for p in parts
@@ -111,31 +100,21 @@ doi_maps = st.dictionaries(
 )
 
 
-@given(st.lists(st.tuples(st.sampled_from(DISCIPLINES), doi_maps, doi_maps), max_size=12))
-def test_scope_given_only_its_own_profiles_matches_full_list(specs):
-    # A small DOI pool makes DOIs shared across disciplines common.
-    profiles = [make_profile(f"a{i}", *spec) for i, spec in enumerate(specs)]
-    for scope in DISCIPLINES:
-        own = [p for p in profiles if p.discipline == scope]
-        assert classify_overlap(
-            own, DB_TAGS, scope=scope, disciplines=DISCIPLINES
-        ) == classify_overlap(profiles, DB_TAGS, scope=scope, disciplines=DISCIPLINES)
-
-
 @given(
     st.lists(st.tuples(st.sampled_from(DISCIPLINES), doi_maps, doi_maps), min_size=1, max_size=12)
 )
 def test_overlap_report_global_row_equals_flat_classification(specs):
-    # DOIs shared across disciplines, with unequal and zero counts. The global
-    # rows, merged from the discipline maps, must equal one flat walk of every
-    # profile, and each discipline's rows that discipline's own classification.
+    # DOIs shared across disciplines, with unequal and zero counts; a small DOI
+    # pool makes them common. The global rows, merged from the discipline maps,
+    # must equal one flat walk of every profile, and each discipline's rows that
+    # discipline's own classification.
     profiles = [make_profile(f"a{i}", *spec) for i, spec in enumerate(specs)]
-    scopes = {d: [p for p in profiles if p.discipline == d] for d in DISCIPLINES}
+    scopes = {d: own(profiles, d) for d in DISCIPLINES}
     scopes = {d: group for d, group in scopes.items() if group}
     scopes[GLOBAL_SCOPE] = profiles
     expected = []
-    for scope in scopes:
-        r = classify_overlap(profiles, DB_TAGS, None if scope == GLOBAL_SCOPE else scope)
+    for scope, group in scopes.items():
+        r = classify_overlap(group, DB_TAGS, scope)
         expected += [(scope, r.author_count, t, *r.per_db[t], r.common_pubs) for t in DB_TAGS]
     config = RunConfig(records=tuple((tag, Path(tag)) for tag in DB_TAGS), roster=Path("r"))
     overlap, _ = cmd_overlap(Pipeline(config, scopes, {}, []), None)

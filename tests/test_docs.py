@@ -1,19 +1,21 @@
-"""README's "Running" section documents the whole command line."""
+"""README documents the whole command line and the package's exports."""
 
 import argparse
 import json
 import re
+import types
 from pathlib import Path
 
+import scimetrics
 from scimetrics.cli import SETTINGS, build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 CONFIG_FILE_KEYS = ("records", *SETTINGS)
 
 
-def running_section() -> str:
+def readme_section(title: str) -> str:
     text = README.read_text(encoding="utf-8")
-    return text.split("\n## Running\n", 1)[1].split("\n## ", 1)[0]
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
 
 
 def long_flags(parser: argparse.ArgumentParser) -> set[str]:
@@ -35,13 +37,23 @@ def test_every_config_file_key_is_accepted(tmp_path, capsys):
 
 
 def test_running_names_every_config_file_key():
-    section = running_section()
+    section = readme_section("Running")
     assert [key for key in CONFIG_FILE_KEYS if f"`{key}`" not in section] == []
 
 
 def test_running_names_every_long_flag():
-    section = running_section()
+    section = readme_section("Running")
     flags = long_flags(build_parser())
     assert {"--records", "--config", "--key", "--help"} <= flags
     missing = [f for f in sorted(flags) if not re.search(rf"(?<![\w-]){f}(?![\w-])", section)]
     assert missing == []
+
+
+def test_python_api_lists_the_package_exports():
+    sentence = readme_section("Python API").split(" exports ", 1)[1].split(".", 1)[0]
+    exported = {
+        name
+        for name, value in vars(scimetrics).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(re.findall(r"`(\w+)`", sentence)) == exported

@@ -22,6 +22,7 @@ import pytest
 
 import scimetrics.cli
 from scimetrics.cli import main
+from scimetrics.errors import DegenerateInput
 
 ROOT = Path(__file__).resolve().parent.parent
 SYNTHETIC = ROOT / "tests" / "data" / "synthetic"
@@ -119,16 +120,14 @@ def test_back_to_back_runs_load_twice(tmp_path, monkeypatch, capsys):
     assert len(calls) == 2
 
 
-def test_failing_family_still_names_reject_report(tmp_path, capsys):
-    data = tmp_path / "data"
-    shutil.copytree(SYNTHETIC, data)
-    roster = (data / "roster.csv").read_text(encoding="utf-8").splitlines()
-    key, *fields = roster[1].split(",")
-    fields[3] = "solo"  # discipline: this author is now alone in it
-    roster[1] = ",".join([key, *fields])
-    (data / "roster.csv").write_text("\n".join(roster) + "\n", encoding="utf-8")
+def test_failing_family_still_names_reject_report(tmp_path, capsys, monkeypatch):
+    def degenerate(pipeline, args):
+        raise DegenerateInput("need at least two authors in 'solo' for a deviation")
+
+    _, help_text = scimetrics.cli.REPORTS["deviation"]
+    monkeypatch.setitem(scimetrics.cli.REPORTS, "deviation", (degenerate, help_text))
     out = tmp_path / "out"
-    assert run_full_analysis.run(data, out, []) == 2
+    assert run_full_analysis.run(SYNTHETIC, out, []) == 2
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("scimetrics: DegenerateInput: ")
     assert err[1:] == [

@@ -1,6 +1,5 @@
 """Export parsing, DOI normalization, and profile assembly."""
 
-import io
 import json
 import re
 from collections import Counter
@@ -368,24 +367,16 @@ def test_json_roster_value_of_wrong_type_is_schema_error(field, value):
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
-@pytest.mark.parametrize("kind", ["bytes", "stream", "path"])
+@pytest.mark.parametrize("kind", ["bytes", "path"])
 def test_invalid_utf8_mid_file_names_its_line(kind, newline, tmp_path):
     rows = [("a1", f"10.1/x{i}", 5, "scopus") for i in range(3000)]  # several read chunks
     data = records_csv(rows).replace(b"\n", newline.encode())
     data += b"a2,10.1/\xff,5" + newline.encode()
-    if kind == "stream":
-        data = io.BytesIO(data)
-    elif kind == "path":
+    if kind == "path":
         (tmp_path / "records.csv").write_bytes(data)
         data = tmp_path / "records.csv"
     with pytest.raises(SchemaError, match="not valid UTF-8 at line 3002:"):
         parse_records(data, "csv", "scopus")
-
-
-def test_stream_is_read_but_left_open():
-    stream = io.BytesIO(records_csv([("a1", "10.1/x", 5, "scopus")]))
-    assert parse_records(stream, "csv", "scopus") == ({"a1": {"10.1/x": 5}}, [])
-    assert not stream.closed
 
 
 def test_json_must_be_array_of_objects():
