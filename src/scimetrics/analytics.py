@@ -16,16 +16,18 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from bisect import bisect_left
 from collections import Counter
-from typing import Callable, NamedTuple, Sequence
+from itertools import count, repeat
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DegenerateInput
 from .indices import IndexReport
 
+# Index name -> the getter of that index on an IndexReport.
 RANK_KEYS: dict[str, Callable[[IndexReport], int]] = {
-    "h": lambda r: r.h,
-    "g": lambda r: r.g,
-    "h_c": lambda r: r.h_c,
+    key: attrgetter(key) for key in ("h", "g", "h_c")
 }
 
 
@@ -61,15 +63,19 @@ class BinSpec(_BinSpec):
 
     @classmethod
     def parse(cls, text: str) -> "BinSpec":
-        """Parse ``"0-10,11-20,...,51+"`` (a bare ``lo-`` also means open)."""
+        """Parse ``"0-10,11-20,...,51+"`` (a bare ``lo-`` also means open).
+
+        Each bound is ASCII digits once whitespace is stripped: no sign, no
+        underscore and no other script's digits.
+        """
         bounds = []
         for part in text.split(","):
             part = part.strip()
             if part.endswith("+") or part.endswith("-"):
-                bounds.append((int(part[:-1]), None))
+                bounds.append((_bound(part[:-1]), None))
             elif "-" in part:
                 lo, hi = part.split("-", 1)
-                bounds.append((int(lo), int(hi)))
+                bounds.append((_bound(lo), _bound(hi)))
             else:
                 raise ValueError(f"cannot parse bin {part!r}")
         return cls(tuple(bounds))
@@ -86,6 +92,13 @@ class BinSpec(_BinSpec):
             if value >= lo and (hi is None or value <= hi):
                 return i
         raise AssertionError("bins tile all non-negative integers")
+
+
+def _bound(text: str) -> int:
+    text = text.strip()
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"bin bound must be ASCII digits, got {text!r}")
+    return int(text)
 
 
 DEFAULT_BINS = BinSpec(((0, 10), (11, 20), (21, 30), (31, 40), (41, 50), (51, None)))
@@ -110,6 +123,11 @@ class CohortTable(NamedTuple):
     rows: tuple[CohortRow, ...]
 
 
+def db_reports(rows: Iterable[CohortRow], db: str) -> Iterator[IndexReport]:
+    """Each row's report from one database, in row order."""
+    return map(itemgetter(db), map(attrgetter("reports"), rows))
+
+
 class StatsSummary(NamedTuple):
     """Five-number summary; sd uses the n-1 denominator, and is 0.0 for one value."""
 
@@ -131,13 +149,14 @@ def rank_authors(
     if not cohort:
         raise DegenerateInput("cannot rank an empty cohort")
     value = RANK_KEYS[key]
-    ordered = sorted(
-        cohort, key=lambda item: (-value(item[1]), -item[1].h_cite, item[0])
+    keys, reports = zip(*sorted(cohort, key=itemgetter(0)))
+    # Stable sorts, the last tie-break first; a reverse sort keeps ties in order.
+    order = sorted(
+        range(len(keys)), key=list(map(attrgetter("h_cite"), reports)).__getitem__, reverse=True
     )
-    return [
-        RankedAuthor(rank=i, author_key=k, report=r)
-        for i, (k, r) in enumerate(ordered, 1)
-    ]
+    order.sort(key=list(map(value, reports)).__getitem__, reverse=True)
+    ranked = zip(count(1), map(keys.__getitem__, order), map(reports.__getitem__, order))
+    return list(map(tuple.__new__, repeat(RankedAuthor), ranked))
 
 
 def build_cohort(
@@ -182,7 +201,7 @@ def _centred_ranks(values: Sequence[float]) -> list[int]:
         c = counts[v]
         code[v] = acc + c
         acc += 2 * c
-    return [code[v] for v in values]
+    return list(map(code.__getitem__, values))
 
 
 def spearman_rho(pairs: Sequence[tuple[float, float]]) -> float:
@@ -195,8 +214,8 @@ def spearman_rho(pairs: Sequence[tuple[float, float]]) -> float:
         raise DegenerateInput("need at least two pairs")
     # Doubled centred ranks are exact ints, so the sums below are exact and
     # perfect agreement yields exactly +-1.
-    dx = _centred_ranks([p[0] for p in pairs])
-    dy = _centred_ranks([p[1] for p in pairs])
+    dx = _centred_ranks(list(map(itemgetter(0), pairs)))
+    dy = _centred_ranks(list(map(itemgetter(1), pairs)))
     sxx = sum(map(operator.mul, dx, dx))
     syy = sum(map(operator.mul, dy, dy))
     if not sxx or not syy:  # every centred rank of a constant variable is 0
@@ -215,15 +234,13 @@ def per_bin_correlation(
     Bins with fewer than two authors, or with a constant variable, yield
     None (rendered as "-" in reports).
     """
-    reports = [row.reports[db] for row in cohort.rows]
-    bin_of = {h: bins.index_of(h) for h in {r.h for r in reports}}
-    per_bin: list[list[tuple[int, int]]] = [[] for _ in bins.bounds]
-    for r in reports:
-        per_bin[bin_of[r.h]].append((r.h, r.h_c))
+    # (h, h_c) pairs sorted by h, so each bin is one slice; rho ignores pair order.
+    pairs = sorted(map(attrgetter("h", "h_c"), db_reports(cohort.rows, db)))
+    cuts = [0, *(bisect_left(pairs, (lo,)) for lo, _ in bins.bounds[1:]), len(pairs)]
     out: list[float | None] = []
-    for pairs in per_bin:
+    for start, stop in zip(cuts, cuts[1:]):
         try:
-            out.append(spearman_rho(pairs))
+            out.append(spearman_rho(pairs[start:stop]))
         except DegenerateInput:
             out.append(None)
     return out
@@ -240,10 +257,9 @@ def diff_sd(cohort: CohortTable, key: str) -> float:
         raise DegenerateInput(
             f"need at least two authors in {cohort.discipline!r} for a deviation"
         )
-    a, b = cohort.db_tags
     value = RANK_KEYS[key]
-    diffs = [value(row.reports[a]) - value(row.reports[b]) for row in cohort.rows]
-    return _sample_sd(diffs)
+    a, b = (map(value, db_reports(cohort.rows, db)) for db in cohort.db_tags)
+    return _sample_sd(list(map(operator.sub, a, b)))
 
 
 def density_series(
@@ -258,7 +274,7 @@ def density_series(
         raise DegenerateInput("no values for a density")
     if bin_width < 1:
         raise ValueError("bin_width must be >= 1")
-    counts = Counter(v // bin_width for v in values)
+    counts = Counter(map(operator.floordiv, values, repeat(bin_width)))
     lo, hi = min(counts), max(counts)
     n = len(values)
     return [

@@ -16,11 +16,13 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain, repeat
+from operator import add, attrgetter
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
 from . import analytics
-from .analytics import BinSpec, CohortTable, build_cohort
+from .analytics import BinSpec, CohortTable, build_cohort, db_reports
 from .config import OUT_DIR_ENV, ROUNDING_MODES, RunConfig
 from .crossdb import GLOBAL_SCOPE, classify_overlap, overlap_proportions
 from .errors import ConfigError, DegenerateInput, EmptyScope, SchemaError, ScimetricsError
@@ -35,6 +37,7 @@ from .ingest import (
 from .reports import round_half_up, write_csv, write_json
 
 INDEX_COLUMNS = IndexReport._fields  # an IndexReport unpacks in this order
+_AUTHOR_KEY = attrgetter("author_key")
 STATS_INDICES = ("h", "h_c", "g")
 PLOT_HEADER = ("series", "x", "y")
 
@@ -256,7 +259,7 @@ def _scope_tags(pipeline: Pipeline) -> Iterator[tuple[str, str, CohortTable]]:
 
 def _values(cohort: CohortTable, tag: str, key: str) -> list[int]:
     """One index of one database for every author of a cohort, in row order."""
-    return [analytics.RANK_KEYS[key](r.reports[tag]) for r in cohort.rows]
+    return list(map(analytics.RANK_KEYS[key], db_reports(cohort.rows, tag)))
 
 
 def _pct(config: RunConfig, count: int, total: int) -> float:
@@ -311,13 +314,18 @@ def write_tables(config: RunConfig, tables: list[Table]) -> None:
 
 def cmd_index(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
     """Per-(author, database) index rows plus per-discipline summaries."""
-    rows = [
-        (discipline, row.author_key, tag, *row.reports[tag])
-        for discipline, cohort in pipeline.cohorts.items()
-        if discipline != GLOBAL_SCOPE
-        for row in sorted(cohort.rows, key=lambda r: r.author_key)
-        for tag in pipeline.config.db_tags
-    ]
+    rows = []
+    for discipline, cohort in pipeline.cohorts.items():
+        if discipline != GLOBAL_SCOPE:
+            ordered = sorted(cohort.rows, key=_AUTHOR_KEY)
+            keys = list(map(_AUTHOR_KEY, ordered))
+            # Per tag, (discipline, author, tag) + report rows; zip interleaves
+            # them so that each author's tags follow one another.
+            per_tag = [
+                map(add, zip(repeat(discipline), keys, repeat(tag)), db_reports(ordered, tag))
+                for tag in pipeline.config.db_tags
+            ]
+            rows += chain.from_iterable(zip(*per_tag))
     stats_rows = []
     for scope, tag, cohort in _scope_tags(pipeline):
         for key in STATS_INDICES:
@@ -412,14 +420,24 @@ def cmd_overlap(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
 def cmd_rank(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
     """Authors of every scope ranked by one index (``--key``), per database."""
     key = args.key
-    rows = []
-    plot_rows = []
+    rankings = []
     for scope, tag, cohort in _scope_tags(pipeline):
-        pairs = [(r.author_key, r.reports[tag]) for r in cohort.rows]
-        for ranked in analytics.rank_authors(pairs, key):
-            r = ranked.report
-            rows.append((scope, tag, ranked.rank, ranked.author_key, *r))
-            plot_rows.append((f"{scope}/{tag}", ranked.rank, analytics.RANK_KEYS[key](r)))
+        pairs = list(zip(map(_AUTHOR_KEY, cohort.rows), db_reports(cohort.rows, tag)))
+        rankings.append((scope, tag, analytics.rank_authors(pairs, key)))
+    rows = [
+        (scope, tag, rank, author_key, *report)
+        for scope, tag, ranking in rankings
+        for rank, author_key, report in ranking
+    ]
+    plot_rows = [
+        point
+        for scope, tag, ranking in rankings
+        for point in zip(
+            repeat(f"{scope}/{tag}"),
+            map(attrgetter("rank"), ranking),
+            map(analytics.RANK_KEYS[key], map(attrgetter("report"), ranking)),
+        )
+    ]
     return [
         Table(f"rank_{key}", ("discipline", "db", "rank", "author_key", *INDEX_COLUMNS), rows),
         Table(f"rank_{key}_plot", PLOT_HEADER, plot_rows, plot=True),

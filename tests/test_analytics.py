@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scimetrics.analytics import (
     DEFAULT_BINS,
     BinSpec,
+    RankedAuthor,
     _centred_ranks,
     bin_proportions,
     build_cohort,
@@ -149,6 +150,21 @@ def test_binspec_rejects_non_tilings(bad):
         BinSpec.parse(bad)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    ["0-1_0,1_1+", "0-10,11-\u0662\u0660,21+", "0-10,+11-20,21+", "0-10,11-20,\uff12\uff11+"],
+)
+def test_binspec_rejects_bounds_that_are_not_ascii_digits(bad):
+    # int() reads underscores, signs and other scripts' digits; a bin bound may not.
+    with pytest.raises(ValueError) as info:
+        BinSpec.parse(bad)
+    assert type(info.value) is ValueError
+
+
+def test_binspec_strips_whitespace_around_bounds():
+    assert BinSpec.parse(" 0 - 10 , 11 + ") == BinSpec(((0, 10), (11, None)))
+
+
 def test_binspec_accepts_one_value_bins():
     assert BinSpec.parse("0-0,1-1,2+").labels() == ["0-0", "1-1", "2+"]
 
@@ -220,6 +236,35 @@ def test_rank_is_descending_permutation(specs, key):
     assert sorted(r.author_key for r in ranked) == sorted(k for k, _ in cohort)
     values = [getattr(r.report, key) for r in ranked]
     assert values == sorted(values, reverse=True)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["b", "a", "c", "ab"]),
+            st.integers(0, 5),
+            st.sampled_from([0, 2]),
+            st.integers(0, 3),
+            st.integers(0, 3),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    st.sampled_from(["h", "g", "h_c"]),
+)
+def test_rank_order_equals_the_sort_key_oracle(specs, key):
+    # Repeated author keys and tied scores: the order is a stable sort on
+    # (-index, -h_cite, author key), so full ties keep their input order.
+    cohort = [
+        (name, IndexReport(h=h, g=h + dg, h_cite=h + dc, k=k, h_c=h + k))
+        for name, h, k, dg, dc in specs
+    ]
+    expected = sorted(cohort, key=lambda item: (-getattr(item[1], key), -item[1].h_cite, item[0]))
+    ranked = rank_authors(cohort, key)
+    assert all(type(r) is RankedAuthor for r in ranked)
+    assert [(r.rank, r.author_key, r.report) for r in ranked] == [
+        (i, k, r) for i, (k, r) in enumerate(expected, 1)
+    ]
 
 
 def test_rank_strict_dominance():

@@ -463,6 +463,15 @@ def test_bad_bins_flag_exits_2(tmp_path, capsys):
     assert "invalid --bins" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["0-1_0,1_1+", "0-10,11-\u0662\u0660,21+", "0-10,+11-20,21+"])
+def test_bins_flag_with_non_ascii_digit_bound_exits_2(tmp_path, capsys, spec):
+    data = write_golden_fixture(tmp_path)
+    assert main(["bins", *args_for(data, tmp_path / "out", "--bins", spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "invalid --bins" in err
+    assert not (tmp_path / "out" / "author_bins.csv").exists()
+
+
 def test_density_width_flag(tmp_path):
     out = tmp_path / "out"
     assert main(["density", *args_for(SYNTHETIC, out, "--density-width", "10")]) == 0

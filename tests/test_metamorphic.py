@@ -1,0 +1,147 @@
+"""Metamorphic laws of a full report run: input row order and author key
+spelling do not reach the report numbers.
+
+Both laws run on the 60-author fixture and on a small cohort of the
+``cohort-sparse`` benchmark shape (many one-paper authors in many
+disciplines, so ranks and bins are full of ties). Each drawn input is
+compared with one untouched run of the same data.
+"""
+
+import contextlib
+import csv
+import dataclasses
+import importlib.util
+import io
+import json
+import random
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+ROOT = Path(__file__).resolve().parent.parent
+INPUTS = ("roster.csv", "records_scopus.csv", "records_wos.csv")
+
+
+def _load(name: str, path: Path):
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+cohorts = _load("cohorts", ROOT / "bench" / "cohorts.py")
+run_full_analysis = _load("run_full_analysis", ROOT / "scripts" / "run_full_analysis.py")
+
+# A fixed example count keeps both laws, on both inputs, near 1.5 s.
+LAWS = settings(max_examples=3, deadline=None)
+
+
+def run(data: Path, out: Path) -> dict[str, bytes]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_full_analysis.run(data, out, []) == 0
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def read_table(path: Path) -> tuple[list[str], list[list[str]]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    return header, rows
+
+
+def write_table(path: Path, header: list[str], rows: list[list[str]]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+@pytest.fixture(scope="module", params=["fixture", "cohort-sparse"])
+def baseline(request, tmp_path_factory):
+    """(input dir, output dir) of one untouched run."""
+    data = tmp_path_factory.mktemp("data")
+    if request.param == "fixture":
+        for name in INPUTS:
+            (data / name).write_bytes((ROOT / "tests" / "data" / "synthetic" / name).read_bytes())
+    else:
+        shape = dataclasses.replace(cohorts.WORKLOADS["cohort-sparse"], authors=300)
+        cohorts.generate(shape, 7, data)
+    out = tmp_path_factory.mktemp("out")
+    run(data, out)
+    return data, out
+
+
+def rejects(content: bytes) -> Counter:
+    """The (author key, reason) pairs of a reject report; row numbers follow input order."""
+    _, *rows = csv.reader(io.StringIO(content.decode("utf-8")))
+    return Counter((key, reason) for _, key, reason in rows)
+
+
+@LAWS
+@given(seed=st.integers(0, 2**32 - 1))
+def test_shuffled_input_rows_change_only_reject_row_numbers(tmp_path_factory, baseline, seed):
+    data, base_out = baseline
+    expected = {path.name: path.read_bytes() for path in base_out.iterdir()}
+    shuffled = tmp_path_factory.mktemp("shuffled")
+    rng = random.Random(seed)
+    for name in INPUTS:
+        header, rows = read_table(data / name)
+        rng.shuffle(rows)
+        write_table(shuffled / name, header, rows)
+    got = run(shuffled, tmp_path_factory.mktemp("out"))
+    assert got.keys() == expected.keys()
+    for name, content in got.items():
+        if name.startswith("rejects_"):
+            assert rejects(content) == rejects(expected[name]), name
+        else:
+            assert content == expected[name], name
+
+
+def key_cells(path: Path, rename: dict[str, str]):
+    """A report's cells, each author key cell spelled back through ``rename``."""
+    if path.suffix == ".json":
+        payload = json.loads(path.read_text(encoding="utf-8"), parse_constant=str)
+        for row in payload["rows"]:
+            if "author_key" in row:
+                row["author_key"] = rename.get(row["author_key"], row["author_key"])
+        return payload
+    header, rows = read_table(path)
+    if "author_key" in header:
+        col = header.index("author_key")
+        for row in rows:
+            row[col] = rename.get(row[col], row[col])
+    return header, rows
+
+
+# Author keys: no surrounding whitespace (the roster strips it), some non-ASCII.
+KEY_TEXT = st.text(alphabet="abcxyzAXZ0189_-.éß漢", min_size=1, max_size=10)
+
+
+@LAWS
+@given(data=st.data())
+def test_order_preserving_key_renames_change_no_report_number(
+    tmp_path_factory, baseline, data
+):
+    source, base_out = baseline
+    header, roster = read_table(source / "roster.csv")
+    old = sorted(row[0] for row in roster)
+    new = sorted(data.draw(st.lists(KEY_TEXT, min_size=len(old), max_size=len(old), unique=True)))
+    forward = dict(zip(old, new))
+    renamed = tmp_path_factory.mktemp("renamed")
+    for name in INPUTS:
+        header, rows = read_table(source / name)
+        for row in rows:
+            row[0] = forward.get(row[0], row[0])
+        write_table(renamed / name, header, rows)
+    out = tmp_path_factory.mktemp("out")
+    got = run(renamed, out)
+    back = dict(zip(new, old))
+    assert sorted(got) == sorted(p.name for p in base_out.iterdir())
+    for name in got:
+        assert key_cells(out / name, back) == key_cells(base_out / name, {}), name
