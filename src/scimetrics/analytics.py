@@ -18,7 +18,7 @@ import operator
 import sys
 from bisect import bisect_left
 from collections import Counter
-from itertools import count, repeat
+from itertools import repeat
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -31,67 +31,58 @@ RANK_KEYS: dict[str, Callable[[IndexReport], int]] = {
 }
 
 
-class _BinSpec(NamedTuple):
-    bounds: tuple[tuple[int, int | None], ...]
+class BinSpec(NamedTuple):
+    """Integer bins tiling all non-negative values, held as each bin's lowest value.
 
-
-class BinSpec(_BinSpec):
-    """Ordered closed integer intervals covering all non-negative values.
-
-    The last interval is open-ended (upper bound None). Consecutive
-    intervals must tile 0..inf with no gap or overlap.
+    The lows ascend from 0; bin i holds ``lows[i] <= v < lows[i + 1]``, and
+    the last bin is open-ended.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, bounds: tuple[tuple[int, int | None], ...]) -> "BinSpec":
-        if not bounds:
-            raise ValueError("at least one bin required")
-        expected_lo = 0
-        for i, (lo, hi) in enumerate(bounds):
-            last = i == len(bounds) - 1
-            if lo != expected_lo:
-                raise ValueError(f"bin {i} must start at {expected_lo}, got {lo}")
-            if last:
-                if hi is not None:
-                    raise ValueError("last bin must be open-ended")
-            else:
-                if hi is None or hi < lo:
-                    raise ValueError(f"bin {i} has invalid upper bound {hi}")
-                expected_lo = hi + 1
-        return super().__new__(cls, bounds)
+    lows: tuple[int, ...]
 
     @classmethod
     def parse(cls, text: str) -> "BinSpec":
         """Parse ``"0-10,11-20,...,51+"`` (a bare ``lo-`` also means open).
 
         Each bound is ASCII digits once whitespace is stripped: no sign, no
-        underscore and no other script's digits.
+        underscore and no other script's digits. Consecutive bins must tile
+        0..inf with no gap or overlap, and only the last is open-ended.
         """
-        bounds = []
+        pairs = []
         for part in text.split(","):
             part = part.strip()
             if part.endswith("+") or part.endswith("-"):
-                bounds.append((_bound(part[:-1]), None))
+                pairs.append((_bound(part[:-1]), None))
             elif "-" in part:
                 lo, hi = part.split("-", 1)
-                bounds.append((_bound(lo), _bound(hi)))
+                pairs.append((_bound(lo), _bound(hi)))
             else:
                 raise ValueError(f"cannot parse bin {part!r}")
-        return cls(tuple(bounds))
+        lows = [0]
+        for i, (lo, hi) in enumerate(pairs):
+            if lo != lows[-1]:
+                raise ValueError(f"bin {i} must start at {lows[-1]}, got {lo}")
+            if i == len(pairs) - 1:
+                if hi is not None:
+                    raise ValueError("last bin must be open-ended")
+            elif hi is None or hi < lo:
+                raise ValueError(f"bin {i} has invalid upper bound {hi}")
+            else:
+                lows.append(hi + 1)
+        return cls(tuple(lows))
 
     def labels(self) -> list[str]:
-        return [
-            f"{lo}+" if hi is None else f"{lo}-{hi}" for lo, hi in self.bounds
-        ]
+        """``lo-hi`` per bin, ``hi`` one below the next bin's low; the last bin is ``lo+``."""
+        lows = self.lows
+        closed = [f"{lo}-{hi - 1}" for lo, hi in zip(lows, lows[1:])]
+        return [*closed, f"{lows[-1]}+"]
 
-    def index_of(self, value: int) -> int:
-        if value < 0:
-            raise ValueError("bins cover non-negative values only")
-        for i, (lo, hi) in enumerate(self.bounds):
-            if value >= lo and (hi is None or value <= hi):
-                return i
-        raise AssertionError("bins tile all non-negative integers")
+    def cuts(self, column: Sequence[int]) -> list[int]:
+        """Where each bin starts and ends in an ascending column.
+
+        Bin i holds ``column[cuts[i]:cuts[i + 1]]``; the last cut is ``len(column)``.
+        """
+        return [0, *(bisect_left(column, lo) for lo in self.lows[1:]), len(column)]
 
 
 def _bound(text: str) -> int:
@@ -101,13 +92,7 @@ def _bound(text: str) -> int:
     return int(text)
 
 
-DEFAULT_BINS = BinSpec(((0, 10), (11, 20), (21, 30), (31, 40), (41, 50), (51, None)))
-
-
-class RankedAuthor(NamedTuple):
-    rank: int
-    author_key: str
-    report: IndexReport
+DEFAULT_BINS = BinSpec((0, 11, 21, 31, 41, 51))
 
 
 class CohortRow(NamedTuple):
@@ -140,11 +125,11 @@ class StatsSummary(NamedTuple):
 
 def rank_authors(
     cohort: Sequence[tuple[str, IndexReport]], key: str
-) -> list[RankedAuthor]:
-    """Ordinal ranks 1..N, best first, under a deterministic total order.
+) -> list[tuple[str, IndexReport]]:
+    """The (author key, report) pairs in rank order, best first: rank = position + 1.
 
-    Sorts descending by the chosen index; ties broken by higher top-paper
-    citations, then by ascending author key.
+    The order is total and deterministic: descending by the chosen index,
+    ties broken by higher top-paper citations, then by ascending author key.
     """
     if not cohort:
         raise DegenerateInput("cannot rank an empty cohort")
@@ -155,8 +140,7 @@ def rank_authors(
         range(len(keys)), key=list(map(attrgetter("h_cite"), reports)).__getitem__, reverse=True
     )
     order.sort(key=list(map(value, reports)).__getitem__, reverse=True)
-    ranked = zip(count(1), map(keys.__getitem__, order), map(reports.__getitem__, order))
-    return list(map(tuple.__new__, repeat(RankedAuthor), ranked))
+    return list(zip(map(keys.__getitem__, order), map(reports.__getitem__, order)))
 
 
 def build_cohort(
@@ -180,10 +164,8 @@ def bin_proportions(values: Sequence[int], bins: BinSpec) -> tuple[int, ...]:
     """The number of values in each bin, in bin order; they sum to ``len(values)``."""
     if not values:
         raise DegenerateInput("no values to bin")
-    counts = [0] * len(bins.bounds)
-    for v, c in Counter(values).items():
-        counts[bins.index_of(v)] += c
-    return tuple(counts)
+    cuts = bins.cuts(sorted(values))
+    return tuple(map(operator.sub, cuts[1:], cuts))
 
 
 def _centred_ranks(values: Sequence[float]) -> list[int]:
@@ -236,7 +218,7 @@ def per_bin_correlation(
     """
     # (h, h_c) pairs sorted by h, so each bin is one slice; rho ignores pair order.
     pairs = sorted(map(attrgetter("h", "h_c"), db_reports(cohort.rows, db)))
-    cuts = [0, *(bisect_left(pairs, (lo,)) for lo, _ in bins.bounds[1:]), len(pairs)]
+    cuts = bins.cuts(list(map(itemgetter(0), pairs)))
     out: list[float | None] = []
     for start, stop in zip(cuts, cuts[1:]):
         try:

@@ -16,8 +16,8 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain, repeat
-from operator import add, attrgetter
+from itertools import chain, count, repeat
+from operator import add, attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
@@ -40,6 +40,10 @@ INDEX_COLUMNS = IndexReport._fields  # an IndexReport unpacks in this order
 _AUTHOR_KEY = attrgetter("author_key")
 STATS_INDICES = ("h", "h_c", "g")
 PLOT_HEADER = ("series", "x", "y")
+# The widest density bin, the largest signed 64-bit value as for citation
+# counts: no h or h_c needs a wider one, and each bin centre stays a finite
+# float, which a width of 2**1024 or more would not.
+MAX_DENSITY_WIDTH = 2**63 - 1
 
 
 class Pipeline(NamedTuple):
@@ -89,6 +93,8 @@ def _bins(key: str, value: object) -> BinSpec:
 def _density_width(key: str, value: object) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ValueError(f"must be a positive integer, got {value!r}")
+    if value > MAX_DENSITY_WIDTH:
+        raise ValueError(f"must be at most {MAX_DENSITY_WIDTH}, got {value!r}")
     return value
 
 
@@ -427,15 +433,15 @@ def cmd_rank(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
     rows = [
         (scope, tag, rank, author_key, *report)
         for scope, tag, ranking in rankings
-        for rank, author_key, report in ranking
+        for rank, (author_key, report) in enumerate(ranking, 1)
     ]
     plot_rows = [
         point
         for scope, tag, ranking in rankings
         for point in zip(
             repeat(f"{scope}/{tag}"),
-            map(attrgetter("rank"), ranking),
-            map(analytics.RANK_KEYS[key], map(attrgetter("report"), ranking)),
+            count(1),
+            map(analytics.RANK_KEYS[key], map(itemgetter(1), ranking)),
         )
     ]
     return [

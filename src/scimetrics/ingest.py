@@ -24,6 +24,10 @@ from .indices import CitationProfile
 # a suffix with no whitespace and no control character (C0, DEL or C1).
 _DOI = re.compile(r"(?:https?://doi\.org/|doi:)?\s*(10\.[0-9]+/[^\s\x00-\x1f\x7f-\x9f]+)")
 _CITATIONS_SHAPE = re.compile(r"-?[0-9]+")
+# The largest accepted citation count, the largest signed 64-bit value: a
+# count above it is rejected, so every total stays far below the interpreter's
+# int-to-string limit when it is written.
+MAX_CITATIONS = 2**63 - 1
 
 RECORD_COLUMNS = ("author_key", "doi", "citations")
 ROSTER_COLUMNS = (
@@ -169,10 +173,11 @@ def _json_objects(text: str) -> list[dict]:
 
 
 def _parse_citations(value) -> int | None:
-    """Citation count as int, or None when unparseable (bool is rejected).
+    """Citation count as int, or None when unparseable or above MAX_CITATIONS.
 
     A string count must be ASCII digits with an optional leading minus
     after stripping whitespace: no other scripts' digits, no underscores.
+    A bool is rejected.
     """
     if isinstance(value, str):
         if not (value.isascii() and value.isdigit()):
@@ -180,12 +185,12 @@ def _parse_citations(value) -> int | None:
             if not _CITATIONS_SHAPE.fullmatch(value):
                 return None
         try:
-            return int(value)
+            value = int(value)
         except ValueError:  # more digits than the interpreter converts
             return None
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    return None
+    elif isinstance(value, bool) or not isinstance(value, int):
+        return None
+    return value if value <= MAX_CITATIONS else None
 
 
 def _non_string(*named: tuple[str, object]) -> str:

@@ -5,6 +5,7 @@ import random
 import statistics
 import sys
 from collections import defaultdict
+from itertools import accumulate
 
 import pytest
 from hypothesis import given
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 from scimetrics.analytics import (
     DEFAULT_BINS,
     BinSpec,
-    RankedAuthor,
     _centred_ranks,
     bin_proportions,
     build_cohort,
@@ -127,18 +127,14 @@ def oracle_two_pass_sd(values):
 
 def test_default_bins_layout():
     assert DEFAULT_BINS.labels() == ["0-10", "11-20", "21-30", "31-40", "41-50", "51+"]
-    assert DEFAULT_BINS.index_of(0) == 0
-    assert DEFAULT_BINS.index_of(10) == 0
-    assert DEFAULT_BINS.index_of(11) == 1
-    assert DEFAULT_BINS.index_of(50) == 4
-    assert DEFAULT_BINS.index_of(51) == 5
-    assert DEFAULT_BINS.index_of(10**6) == 5
+    column = [0, 10, 11, 50, 51, 10**6]
+    assert DEFAULT_BINS.cuts(column) == [0, 2, 3, 3, 3, 4, 6]
 
 
 def test_binspec_parse_roundtrip():
     parsed = BinSpec.parse("0-10,11-20,21-30,31-40,41-50,51+")
     assert parsed == DEFAULT_BINS
-    assert BinSpec.parse("0-4,5-") == BinSpec(((0, 4), (5, None)))
+    assert BinSpec.parse("0-4,5-") == BinSpec((0, 5))
 
 
 @pytest.mark.parametrize(
@@ -162,7 +158,7 @@ def test_binspec_rejects_bounds_that_are_not_ascii_digits(bad):
 
 
 def test_binspec_strips_whitespace_around_bounds():
-    assert BinSpec.parse(" 0 - 10 , 11 + ") == BinSpec(((0, 10), (11, None)))
+    assert BinSpec.parse(" 0 - 10 , 11 + ") == BinSpec((0, 11))
 
 
 def test_binspec_accepts_one_value_bins():
@@ -177,14 +173,21 @@ def test_binspec_rejects_inverted_or_early_open_bins(bad):
     assert type(info.value) is ValueError
 
 
-@given(st.integers(min_value=0, max_value=10_000))
-def test_every_value_lands_in_exactly_one_bin(value):
-    hits = [
-        i
-        for i, (lo, hi) in enumerate(DEFAULT_BINS.bounds)
-        if value >= lo and (hi is None or value <= hi)
-    ]
-    assert hits == [DEFAULT_BINS.index_of(value)]
+# Any ascending lower bounds from 0: each bin holds one value or more.
+bin_specs = st.lists(st.integers(1, 30), max_size=8).map(
+    lambda widths: BinSpec((0, *accumulate(widths)))
+)
+
+
+@given(bin_specs, st.lists(st.integers(0, 250), max_size=60))
+def test_labels_parse_back_and_cuts_are_bin_membership(spec, values):
+    assert BinSpec.parse(",".join(spec.labels())) == spec
+    column = sorted(values)
+    cuts = spec.cuts(column)
+    highs = [*spec.lows[1:], math.inf]
+    assert len(cuts) == len(spec.lows) + 1
+    for i, (lo, hi) in enumerate(zip(spec.lows, highs)):
+        assert column[cuts[i] : cuts[i + 1]] == [v for v in column if lo <= v < hi]
 
 
 # ---------------------------------------------------------------------------
@@ -197,19 +200,17 @@ def test_rank_tie_break_by_top_paper_then_key():
         ("b", report_for(9, h_cite=12)),
         ("c", report_for(5, h_cite=30)),
     ]
-    ranked = rank_authors(cohort, "h")
-    assert [r.author_key for r in ranked] == ["b", "c", "a"]
-    assert [r.rank for r in ranked] == [1, 2, 3]
+    assert [author_key for author_key, _ in rank_authors(cohort, "h")] == ["b", "c", "a"]
 
 
 def test_rank_tie_break_falls_back_to_author_key():
     cohort = [("z", report_for(5, h_cite=10)), ("a", report_for(5, h_cite=10))]
-    assert [r.author_key for r in rank_authors(cohort, "h")] == ["a", "z"]
+    assert [author_key for author_key, _ in rank_authors(cohort, "h")] == ["a", "z"]
 
 
 def test_rank_single_author():
-    ranked = rank_authors([("only", report_for(3))], "h_c")
-    assert ranked[0].rank == 1
+    cohort = [("only", report_for(3))]
+    assert rank_authors(cohort, "h_c") == cohort
 
 
 def test_rank_empty_cohort():
@@ -232,9 +233,8 @@ def test_rank_is_descending_permutation(specs, key):
         g = h + extra % 7
         cohort.append((f"a{i:02d}", IndexReport(h=h, g=g, h_cite=h_cite, k=0, h_c=h)))
     ranked = rank_authors(cohort, key)
-    assert sorted(r.rank for r in ranked) == list(range(1, len(cohort) + 1))
-    assert sorted(r.author_key for r in ranked) == sorted(k for k, _ in cohort)
-    values = [getattr(r.report, key) for r in ranked]
+    assert sorted(ranked) == sorted(cohort)
+    values = [getattr(report, key) for _, report in ranked]
     assert values == sorted(values, reverse=True)
 
 
@@ -260,11 +260,7 @@ def test_rank_order_equals_the_sort_key_oracle(specs, key):
         for name, h, k, dg, dc in specs
     ]
     expected = sorted(cohort, key=lambda item: (-getattr(item[1], key), -item[1].h_cite, item[0]))
-    ranked = rank_authors(cohort, key)
-    assert all(type(r) is RankedAuthor for r in ranked)
-    assert [(r.rank, r.author_key, r.report) for r in ranked] == [
-        (i, k, r) for i, (k, r) in enumerate(expected, 1)
-    ]
+    assert rank_authors(cohort, key) == expected
 
 
 def test_rank_strict_dominance():
@@ -274,7 +270,7 @@ def test_rank_strict_dominance():
         ("high", report_for(6, k=2)),
         ("mid", report_for(5, k=0)),
     ]
-    ranked = {r.author_key: r.rank for r in rank_authors(cohort, "h_c")}
+    ranked = {author_key: i for i, (author_key, _) in enumerate(rank_authors(cohort, "h_c"))}
     assert ranked["high"] < ranked["mid"] < ranked["low"]
 
 

@@ -12,7 +12,14 @@ from pathlib import Path
 
 import pytest
 
-from scimetrics.cli import SETTINGS, _pct, build_config, build_parser, main
+from scimetrics.cli import (
+    MAX_DENSITY_WIDTH,
+    SETTINGS,
+    _pct,
+    build_config,
+    build_parser,
+    main,
+)
 from scimetrics.config import RunConfig
 
 from helpers import read_csv
@@ -156,6 +163,25 @@ def test_hostile_export_exits_2_without_traceback(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("scimetrics: SchemaError: ")
     assert err.count("\n") == 1
+
+
+def test_citation_counts_above_the_bound_are_rejected_not_summed(tmp_path, capsys):
+    # Each count is within int()'s 4300-digit limit, but their sum is not, so
+    # accepting both made the overlap total unprintable.
+    data = tmp_path / "data"
+    shutil.copytree(SYNTHETIC, data)
+    huge = "9" * 4300
+    with open(data / "records_scopus.csv", "a") as fh:
+        fh.write(f"a001,10.5555/huge.0,{huge},scopus\na001,10.5555/huge.1,{huge},scopus\n")
+    assert main(["overlap", *args_for(SYNTHETIC, tmp_path / "plain")]) == 0
+    assert main(["overlap", *args_for(data, tmp_path / "huge")]) == 0
+    capsys.readouterr()
+    _, plain = read_csv(tmp_path / "plain" / "rejects_scopus.csv")
+    _, rows = read_csv(tmp_path / "huge" / "rejects_scopus.csv")
+    n = len(read_csv(SYNTHETIC / "records_scopus.csv")[1])
+    assert rows == [*plain, *([str(n + i), "a001", "invalid citations"] for i in (1, 2))]
+    report = "overlap.csv"
+    assert (tmp_path / "huge" / report).read_bytes() == (tmp_path / "plain" / report).read_bytes()
 
 
 def test_utf8_bom_is_accepted(tmp_path):
@@ -710,6 +736,29 @@ def test_invalid_setting_is_rejected_from_flag_or_file(key, tmp_path, capsys, mo
     assert errors[0].startswith("scimetrics: ConfigError: ")
     assert errors[0].count("\n") == 1
     assert (repr(key) if key != "disciplines" else "discipline set") in errors[0]
+
+
+@pytest.mark.parametrize("too_wide", [MAX_DENSITY_WIDTH + 1, 10**400])
+def test_density_width_above_the_bound_is_rejected_from_flag_or_file(
+    too_wide, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    errors = []
+    for argv in setting_sources("density_width", str(too_wide), too_wide, tmp_path):
+        assert main(["density", *argv]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == (
+        "scimetrics: ConfigError: invalid --density-width (config key 'density_width'):"
+        f" must be at most {MAX_DENSITY_WIDTH}, got {too_wide}\n"
+    )
+
+
+def test_widest_density_width_gives_a_finite_series(tmp_path):
+    out = tmp_path / "out"
+    extra = ("--density-width", str(MAX_DENSITY_WIDTH))
+    assert main(["density", *args_for(SYNTHETIC, out, *extra)]) == 0
+    _, rows = read_csv(out / "density.csv")
+    assert all(math.isfinite(float(x)) and 0 < float(y) < 1 for _, x, y in rows)
 
 
 def test_records_order_is_database_order():

@@ -100,7 +100,8 @@ def test_normalize_doi_idempotent(suffix, prefix):
 
 
 # The previous _canonical_doi and _parse_citations, bodies kept verbatim, as
-# oracles for the single DOI regex and the ASCII-digit fast path.
+# oracles for the single DOI regex and the ASCII-digit fast path; a count
+# must also be at most the bound the README states.
 _DOI_PREFIX = re.compile(r"https?://doi\.org/|doi:")
 _DOI_SHAPE = re.compile(r"10\.[0-9]+/[^\s\x00-\x1f\x7f-\x9f]+")
 _CITATIONS_SHAPE = re.compile(r"-?[0-9]+")
@@ -113,6 +114,9 @@ def oracle_canonical_doi(raw: str) -> str | None:
     if prefix := _DOI_PREFIX.match(lowered):
         lowered = doi[prefix.end() :].strip().lower()
     return lowered if _DOI_SHAPE.fullmatch(lowered) else None
+
+
+CITATIONS_BOUND = 2**63 - 1
 
 
 def oracle_parse_citations(value) -> int | None:
@@ -180,18 +184,34 @@ def test_canonical_doi_agrees_with_previous_implementation(raw):
 citation_text = st.text(
     st.sampled_from("0123456789-+ \t\u00a0\u2028\u0663\u00b2\uff11_."), max_size=8
 )
-long_digits = st.builds(
-    lambda lead, n, trail: lead + "9" * n + trail,
-    st.sampled_from(["", " ", "-", "0"]),
-    st.integers(4290, 5000),  # around int()'s default limit of 4300 digits
-    st.sampled_from(["", " ", "\n"]),
-)
+def padded(digits):
+    return st.builds(
+        lambda lead, text, trail: lead + text + trail,
+        st.sampled_from(["", " ", "-", "0"]),
+        digits,
+        st.sampled_from(["", " ", "\n"]),
+    )
+
+
+long_digits = padded(st.integers(4290, 5000).map(lambda n: "9" * n))  # int()'s 4300 digits
+near_bound = st.integers(CITATIONS_BOUND - 2, CITATIONS_BOUND + 2)
 
 
 @settings(max_examples=300)
-@given(st.one_of(citation_text, long_digits, st.integers(), st.booleans(), st.none()))
+@given(
+    st.one_of(
+        citation_text,
+        long_digits,
+        padded(near_bound.map(str)),
+        near_bound,
+        st.integers(),
+        st.booleans(),
+        st.none(),
+    )
+)
 def test_parse_citations_agrees_with_previous_implementation(value):
-    assert _parse_citations(value) == oracle_parse_citations(value)
+    count = oracle_parse_citations(value)
+    assert _parse_citations(value) == (None if count is None or count > CITATIONS_BOUND else count)
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +284,17 @@ def test_citation_strings_must_be_ascii_digits():
             ("a1", "10.1/c", " 7 ", "scopus"),
             ("a1", "10.1/d", " -3", "scopus"),
             ("a1", "10.1/e", "9" * 5000, "scopus"),  # past int()'s digit limit
+            ("a1", "10.1/f", str(2**63 - 1), "scopus"),
+            ("a1", "10.1/g", str(2**63), "scopus"),  # past the documented bound
         ]
     )
     accepted, rejects = parse_records(data, "csv", "scopus")
-    assert accepted == {"a1": {"10.1/c": 7}}
+    assert accepted == {"a1": {"10.1/c": 7, "10.1/f": 2**63 - 1}}
     assert [r.reason for r in rejects] == [
         "invalid citations",
         "invalid citations",
         "negative citations",
+        "invalid citations",
         "invalid citations",
     ]
 

@@ -1,7 +1,8 @@
-"""Metamorphic laws of a full report run: input row order and author key
-spelling do not reach the report numbers.
+"""Metamorphic laws of a full report run: input row order, author key
+spelling and a lower duplicate of an accepted row do not reach the report
+numbers.
 
-Both laws run on the 60-author fixture and on a small cohort of the
+Each law runs on the 60-author fixture and on a small cohort of the
 ``cohort-sparse`` benchmark shape (many one-paper authors in many
 disciplines, so ranks and bins are full of ties). Each drawn input is
 compared with one untouched run of the same data.
@@ -39,7 +40,7 @@ def _load(name: str, path: Path):
 cohorts = _load("cohorts", ROOT / "bench" / "cohorts.py")
 run_full_analysis = _load("run_full_analysis", ROOT / "scripts" / "run_full_analysis.py")
 
-# A fixed example count keeps both laws, on both inputs, near 1.5 s.
+# A fixed example count keeps the three laws, on both inputs, under 1 s.
 LAWS = settings(max_examples=3, deadline=None)
 
 
@@ -145,3 +146,43 @@ def test_order_preserving_key_renames_change_no_report_number(
     assert sorted(got) == sorted(p.name for p in base_out.iterdir())
     for name in got:
         assert key_cells(out / name, back) == key_cells(base_out / name, {}), name
+
+
+# Export forms of a bare DOI; each one normalizes back to the bare DOI.
+DOI_FORMS = (str, "https://doi.org/{}".format, "doi:{}".format, str.upper)
+
+
+@LAWS
+@given(data=st.data())
+def test_a_lower_duplicate_of_an_accepted_row_adds_only_its_reject_row(
+    tmp_path_factory, baseline, data
+):
+    source, base_out = baseline
+    db = data.draw(st.sampled_from(("scopus", "wos")))
+    name, reject_name = f"records_{db}.csv", f"rejects_{db}.csv"
+    header, rows = read_table(source / name)
+    # An export with no rejected row has no reject report.
+    base_reject_path = base_out / reject_name
+    base_rejects = read_table(base_reject_path)[1] if base_reject_path.exists() else []
+    rejected = {int(row[0]) for row in base_rejects}
+    key, doi, count = map(header.index, ("author_key", "doi", "citations"))
+    accepted = [
+        row for i, row in enumerate(rows, 1) if i not in rejected and int(row[count]) > 0
+    ]
+    copy = list(data.draw(st.sampled_from(accepted)))
+    assert copy[doi].startswith("10.")  # both inputs export bare DOIs
+    copy[doi] = data.draw(st.sampled_from(DOI_FORMS))(copy[doi])
+    copy[count] = str(data.draw(st.integers(0, int(copy[count]) - 1)))
+    duplicated = tmp_path_factory.mktemp("duplicated")
+    for other in INPUTS:
+        (duplicated / other).write_bytes((source / other).read_bytes())
+    write_table(duplicated / name, header, [*rows, copy])
+    out = tmp_path_factory.mktemp("out")
+    got = run(duplicated, out)
+    expected = {path.name: path.read_bytes() for path in base_out.iterdir()}
+    assert got.keys() == expected.keys() | {reject_name}
+    for other, content in got.items():
+        if other != reject_name:
+            assert content == expected[other], other
+    added = [str(len(rows) + 1), copy[key], "duplicate doi"]
+    assert read_table(out / reject_name)[1] == [*base_rejects, added]
