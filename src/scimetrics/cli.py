@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 I/O failure, 2 validation/schema failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -29,6 +30,7 @@ from .errors import ConfigError, DegenerateInput, EmptyScope, SchemaError, Scime
 from .indices import IndexReport, compute_hc
 from .ingest import (
     AuthorProfile,
+    Reject,
     build_profiles,
     parse_records,
     parse_roster,
@@ -69,14 +71,29 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _text(key: str, value: object) -> str:
+def _string(value: object, encode: Callable[[str], bytes]) -> str:
+    """``value`` if it is a non-empty str that ``encode`` can encode.
+
+    A JSON string can hold a lone surrogate, which neither a report nor a
+    file name can hold.
+    """
     if not (isinstance(value, str) and value):
         raise ValueError(f"must be a non-empty string, got {value!r}")
+    try:
+        encode(value)
+    except UnicodeEncodeError:
+        raise ValueError(f"cannot be encoded as UTF-8, got {value!r}") from None
     return value
 
 
+def _text(key: str, value: object) -> str:
+    return _string(value, str.encode)
+
+
 def _path(key: str, value: object) -> Path:
-    return Path(_text(key, value))
+    # os.fsencode, not UTF-8: the bytes of a command-line path that are not
+    # UTF-8 arrive as surrogate escapes, and they name a file all the same.
+    return Path(_string(value, os.fsencode))
 
 
 def _choice(key: str, value: object) -> str:
@@ -156,6 +173,11 @@ def _records(file_value: object, flags: list[str] | None) -> tuple[tuple[str, Pa
         records[tag] = Path(path)
     if len(records) != 2:
         raise ConfigError(f"exactly two database tags required, got {sorted(records)}")
+    for tag in records:  # each tag is written into the reports
+        try:
+            _text("records", tag)
+        except ValueError as exc:
+            raise ConfigError(f"invalid --records tag (config key 'records'): {exc}") from None
     return tuple(records.items())
 
 
@@ -221,8 +243,7 @@ def load_pipeline(config: RunConfig, reject_paths: list[Path] | None = None) -> 
         accepted[tag], rejects = parse_records(path, None, tag)
         if rejects:
             reject_path = config.out_dir / f"rejects_{tag}.csv"
-            rows = ((r.row, r.author_key, r.reason) for r in rejects)
-            write_csv(reject_path, ("row", "author_key", "reason"), rows)
+            write_csv(reject_path, Reject._fields, rejects)
             reject_paths.append(reject_path)
 
     roster = parse_roster(config.roster)
@@ -552,6 +573,7 @@ REPORTS: dict[str, tuple[Callable[[Pipeline, argparse.Namespace], list[Table]], 
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the command line (``main`` reads one per process)."""
     parser = argparse.ArgumentParser(
         prog="scimetrics",
         description=(
@@ -579,6 +601,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The one parser that ``main`` reads, built on its first call; parsing does
+# not change it, so each later call of a process (a full run makes one per
+# report family) reuses it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None, loaded: dict | None = None) -> int:
     """Run one subcommand; return its exit code.
 
@@ -586,9 +614,10 @@ def main(argv: list[str] | None = None, loaded: dict | None = None) -> int:
     holds a ``"pipeline"`` whose configuration (database order included)
     equals this call's, that pipeline is reused; otherwise the inputs are
     loaded and the result is stored in it. Without ``loaded`` every call
-    loads its inputs itself.
+    loads its inputs itself. The argument parser is built once per process,
+    on the first call, and only read after that.
     """
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     reject_paths: list[Path] = []
     try:
         config = build_config(args)

@@ -14,7 +14,8 @@ import io
 import json
 import os
 import re
-from operator import itemgetter
+from itertools import count, islice, repeat
+from operator import iadd, itemgetter
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import MalformedDoi, SchemaError, UnknownAuthor
@@ -28,6 +29,12 @@ _CITATIONS_SHAPE = re.compile(r"-?[0-9]+")
 # count above it is rejected, so every total stays far below the interpreter's
 # int-to-string limit when it is written.
 MAX_CITATIONS = 2**63 - 1
+# Rows validated per loop step: enough to spread the per-step overhead, few
+# enough that a chunk of wide rows stays small.
+CHUNK_ROWS = 1024
+# Stands for a JSON string that is not UTF-8 text: it is no str, so it is
+# refused as any other non-string value is.
+_NOT_TEXT = object()
 
 RECORD_COLUMNS = ("author_key", "doi", "citations")
 ROSTER_COLUMNS = (
@@ -99,13 +106,16 @@ def _rows(
     fmt: str | None,
     required: tuple[str, ...],
     fields: tuple[str, ...],
-) -> Iterator[tuple]:
-    """The ``fields`` of every data row of one input, as a tuple per row.
+) -> Iterator[list[tuple]]:
+    """The ``fields`` of every data row of one input, as lists of row tuples.
 
-    The input is UTF-8, with or without a BOM. CSV is read one line at a
-    time; JSON is read whole and must be an array of objects, where an
-    absent key or null reads "" and any other value is passed on as it is.
-    A CSV header must name every ``required`` column. Column positions are
+    Each list holds the next ``CHUNK_ROWS`` rows in file order (fewer at the
+    end), so that the caller validates a chunk per loop step. The input is
+    UTF-8, with or without a BOM. CSV is read one line at a time; JSON is
+    read whole and must be an array of objects, where an absent key or null
+    reads "", a string that is not UTF-8 text (it holds a lone surrogate)
+    reads as a non-string, and any other value is passed on as it is. A
+    CSV header must name every ``required`` column. Column positions are
     resolved once from the header, where a repeated name means its last
     column. A blank line is skipped and takes no row number, a missing
     field reads "", and fields past the header are ignored. ``fields``
@@ -116,8 +126,12 @@ def _rows(
     with io.TextIOWrapper(binary, encoding="utf-8-sig", newline="") as text:
         try:
             if json_input:
-                for item in _json_objects(text.read()):
-                    yield tuple("" if v is None else v for v in map(item.get, fields))
+                items = _json_objects(text.read())
+                for start in range(0, len(items), CHUNK_ROWS):
+                    yield [
+                        tuple(map(_json_field, map(item.get, fields)))
+                        for item in items[start : start + CHUNK_ROWS]
+                    ]
             else:
                 yield from _csv_rows(text, required, fields)
         except UnicodeDecodeError as exc:
@@ -127,7 +141,7 @@ def _rows(
 
 def _csv_rows(
     text: IO[str], required: tuple[str, ...], fields: tuple[str, ...]
-) -> Iterator[tuple]:
+) -> Iterator[list[tuple]]:
     reader = csv.reader(text)
     try:
         header = next(reader, None)
@@ -137,15 +151,14 @@ def _csv_rows(
         missing = [col for col in required if col not in position]
         if missing:
             raise SchemaError(f"missing required column(s): {', '.join(missing)}")
-        # A field the header lacks reads the "" appended to every row.
+        # Every non-blank row is extended by the pad, so a field past the end
+        # of a short row, and a field the header lacks (position -1, the
+        # pad's last), read "".
+        pad = [""] * len(header)
         pick = itemgetter(*(position.get(name, -1) for name in fields))
-        width = len(header)
-        for row in reader:
-            if row:
-                if len(row) < width:
-                    row += [""] * (width - len(row))
-                row.append("")
-                yield pick(row)
+        rows = map(pick, map(iadd, filter(None, reader), repeat(pad)))
+        while chunk := list(islice(rows, CHUNK_ROWS)):
+            yield chunk
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise SchemaError(f"invalid CSV at line {reader.line_num}: {exc}") from exc
 
@@ -172,25 +185,48 @@ def _json_objects(text: str) -> list[dict]:
     return payload
 
 
-def _parse_citations(value) -> int | None:
-    """Citation count as int, or None when unparseable or above MAX_CITATIONS.
+def _json_field(value):
+    """One JSON value as a row field.
+
+    Null reads "", and a str that UTF-8 cannot encode (it holds a lone
+    surrogate) reads as ``_NOT_TEXT``; any other value is passed on as it is.
+    """
+    if value is None:
+        return ""
+    if isinstance(value, str) and not value.isascii():
+        try:
+            value.encode()
+        except UnicodeEncodeError:
+            return _NOT_TEXT
+    return value
+
+
+def _parse_citations(values: list) -> list[int | None]:
+    """Each citation count as an int, or None when unparseable or above MAX_CITATIONS.
 
     A string count must be ASCII digits with an optional leading minus
     after stripping whitespace: no other scripts' digits, no underscores.
     A bool is rejected.
     """
-    if isinstance(value, str):
-        if not (value.isascii() and value.isdigit()):
-            value = value.strip()
-            if not _CITATIONS_SHAPE.fullmatch(value):
-                return None
-        try:
-            value = int(value)
-        except ValueError:  # more digits than the interpreter converts
-            return None
-    elif isinstance(value, bool) or not isinstance(value, int):
-        return None
-    return value if value <= MAX_CITATIONS else None
+    counts: list[int | None] = []
+    append = counts.append
+    for value in values:
+        if isinstance(value, str):
+            if not (value.isascii() and value.isdigit()):
+                value = value.strip()
+                if not _CITATIONS_SHAPE.fullmatch(value):
+                    append(None)
+                    continue
+            try:
+                value = int(value)
+            except ValueError:  # more digits than the interpreter converts
+                append(None)
+                continue
+        elif isinstance(value, bool) or not isinstance(value, int):
+            append(None)
+            continue
+        append(value if value <= MAX_CITATIONS else None)
+    return counts
 
 
 def _non_string(*named: tuple[str, object]) -> str:
@@ -214,49 +250,53 @@ def parse_records(
     without a usable author key, DOI, or citation count, or whose
     ``source`` names another database, are rejected with a reason and
     their 1-based data-row number; so is a JSON row whose author_key, doi
-    or source is neither a string nor null (``invalid <field>``). A
+    or source is neither UTF-8 text nor null (``invalid <field>``). A
     repeated (author_key, doi) keeps the maximum citation count and each
     later row is rejected as a duplicate, so the accepted (author, doi)
     pairs plus the rejects always equal the input row count.
     """
     accepted: DoiMap = {}
     rejects: list[Reject] = []
-    rows = _rows(data, fmt, RECORD_COLUMNS, (*RECORD_COLUMNS, "source"))
-    for rownum, (author_key, raw_doi, raw_citations, row_source) in enumerate(rows, 1):
-        try:
-            author_key = author_key.strip()
-            doi = _canonical_doi(raw_doi)
-            row_source = row_source.strip()
-        except AttributeError:  # a JSON value that is neither a string nor null
-            field = _non_string(
-                ("author_key", author_key), ("doi", raw_doi), ("source", row_source)
-            )
-            key = author_key if isinstance(author_key, str) else ""
-            rejects.append(Reject(rownum, key, f"invalid {field}"))
-            continue
-        citations = _parse_citations(raw_citations)
-        if not author_key:
-            reason = "missing author_key"
-        elif doi is None:
-            reason = "malformed doi" if raw_doi.strip() else "missing doi"
-        elif citations is None:
-            reason = "invalid citations"
-        elif citations < 0:
-            reason = "negative citations"
-        elif row_source and row_source != source:
-            reason = "source mismatch"
-        else:
-            pubs = accepted.get(author_key)
-            if pubs is None:
-                pubs = accepted[author_key] = {}
-            prior = pubs.get(doi)
-            if prior is None:
-                pubs[doi] = citations
+    rownums = count(1)
+    for chunk in _rows(data, fmt, RECORD_COLUMNS, (*RECORD_COLUMNS, "source")):
+        counts = _parse_citations(list(map(itemgetter(2), chunk)))
+        # ``rownums`` comes last, so that the end of a chunk takes no number.
+        for (author_key, raw_doi, _, row_source), citations, rownum in zip(
+            chunk, counts, rownums
+        ):
+            try:
+                author_key = author_key.strip()
+                doi = _canonical_doi(raw_doi)
+                row_source = row_source.strip()
+            except AttributeError:  # a JSON value that is not UTF-8 text or null
+                field = _non_string(
+                    ("author_key", author_key), ("doi", raw_doi), ("source", row_source)
+                )
+                key = author_key if isinstance(author_key, str) else ""
+                rejects.append(Reject(rownum, key, f"invalid {field}"))
                 continue
-            if citations > prior:
-                pubs[doi] = citations
-            reason = "duplicate doi"
-        rejects.append(Reject(rownum, author_key, reason))
+            if not author_key:
+                reason = "missing author_key"
+            elif doi is None:
+                reason = "malformed doi" if raw_doi.strip() else "missing doi"
+            elif citations is None:
+                reason = "invalid citations"
+            elif citations < 0:
+                reason = "negative citations"
+            elif row_source and row_source != source:
+                reason = "source mismatch"
+            else:
+                pubs = accepted.get(author_key)
+                if pubs is None:
+                    pubs = accepted[author_key] = {}
+                prior = pubs.get(doi)
+                if prior is None:
+                    pubs[doi] = citations
+                    continue
+                if citations > prior:
+                    pubs[doi] = citations
+                reason = "duplicate doi"
+            rejects.append(Reject(rownum, author_key, reason))
     return accepted, rejects
 
 
@@ -266,27 +306,30 @@ def parse_roster(
     """Parse the author roster (CSV or JSON array) into roster entries.
 
     Requires the full roster schema in the header; author_key and
-    discipline must be non-empty strings per row, and author keys must be
-    unique.
+    discipline must be non-empty strings of UTF-8 text per row, and author
+    keys must be unique.
     """
     entries: list[RosterEntry] = []
     seen: set[str] = set()
-    rows = _rows(data, fmt, ROSTER_COLUMNS, ("author_key", "discipline"))
-    for rownum, (author_key, discipline) in enumerate(rows, 1):
-        try:
-            author_key = author_key.strip()
-            discipline = discipline.strip()
-        except AttributeError:  # a JSON value that is neither a string nor null
-            field = _non_string(("author_key", author_key), ("discipline", discipline))
-            raise SchemaError(f"roster row {rownum}: {field} must be a string") from None
-        if not author_key:
-            raise SchemaError(f"roster row {rownum}: missing author_key")
-        if not discipline:
-            raise SchemaError(f"roster row {rownum}: missing discipline")
-        if author_key in seen:
-            raise SchemaError(f"roster row {rownum}: duplicate author_key {author_key!r}")
-        seen.add(author_key)
-        entries.append(RosterEntry(author_key, discipline))
+    rownums = count(1)
+    for chunk in _rows(data, fmt, ROSTER_COLUMNS, ("author_key", "discipline")):
+        for (author_key, discipline), rownum in zip(chunk, rownums):
+            try:
+                author_key = author_key.strip()
+                discipline = discipline.strip()
+            except AttributeError:  # a JSON value that is not UTF-8 text or null
+                field = _non_string(("author_key", author_key), ("discipline", discipline))
+                raise SchemaError(
+                    f"roster row {rownum}: {field} must be a string of UTF-8 text"
+                ) from None
+            if not author_key:
+                raise SchemaError(f"roster row {rownum}: missing author_key")
+            if not discipline:
+                raise SchemaError(f"roster row {rownum}: missing discipline")
+            if author_key in seen:
+                raise SchemaError(f"roster row {rownum}: duplicate author_key {author_key!r}")
+            seen.add(author_key)
+            entries.append(RosterEntry(author_key, discipline))
     return entries
 
 

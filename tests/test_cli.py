@@ -1,7 +1,11 @@
 """CLI contract: flags, exit codes, report files, determinism."""
 
+import csv
+import importlib.util
+import io
 import json
 import math
+import os
 import shutil
 import statistics
 import subprocess
@@ -12,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from scimetrics import cli
 from scimetrics.cli import (
     MAX_DENSITY_WIDTH,
     SETTINGS,
@@ -182,6 +187,41 @@ def test_citation_counts_above_the_bound_are_rejected_not_summed(tmp_path, capsy
     assert rows == [*plain, *([str(n + i), "a001", "invalid citations"] for i in (1, 2))]
     report = "overlap.csv"
     assert (tmp_path / "huge" / report).read_bytes() == (tmp_path / "plain" / report).read_bytes()
+
+
+def as_json_fixture(data, renamed):
+    """The synthetic fixture as JSON in ``data``, with author keys renamed."""
+    for name in ("records_scopus", "records_wos", "roster"):
+        rows = [
+            {**row, "author_key": renamed.get(row["author_key"], row["author_key"])}
+            for row in csv.DictReader(io.StringIO((SYNTHETIC / f"{name}.csv").read_text()))
+        ]
+        (data / f"{name}.json").write_text(json.dumps(rows))
+    return [
+        "--records", f"{data / 'records_scopus.json'}@scopus",
+        "--records", f"{data / 'records_wos.json'}@wos",
+        "--roster", str(data / "roster.json"),
+        "--out", str(data / "out"),
+    ]
+
+
+def test_lone_surrogate_author_key_in_json_inputs_exits_2(tmp_path, capsys):
+    # A JSON "\ud800" escape decodes to a str that UTF-8 cannot encode; it
+    # used to reach write_csv and end in a UnicodeEncodeError traceback.
+    args = as_json_fixture(tmp_path, {"a001": "\ud800x"})
+    assert main(["index", *args]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == (
+        "scimetrics: SchemaError: roster row 1: author_key must be a string of UTF-8 text"
+    )
+    assert [line for line in err if "reject report" not in line] == err[:1]
+    for tag in ("scopus", "wos"):
+        _, records = read_csv(SYNTHETIC / f"records_{tag}.csv")
+        _, rows = read_csv(tmp_path / "out" / f"rejects_{tag}.csv")
+        renamed = [str(i) for i, row in enumerate(records, 1) if row[0] == "a001"]
+        assert renamed
+        expected = [[i, "", "invalid author_key"] for i in renamed]
+        assert [r for r in rows if r[0] in renamed] == expected
 
 
 def test_utf8_bom_is_accepted(tmp_path):
@@ -605,12 +645,17 @@ def test_requires_exactly_two_databases(tmp_path, capsys):
         {"records": {"scopus": ""}},
         {"records": {"": "records.csv"}},
         {"density-width": 10},
+        {"out": "\ud800"},  # a lone surrogate: no file name can hold it
+        {"roster": "r\udfff.csv"},
+        {"bins": "0-10,11\ud800+"},
+        {"records": {"scopus": "a.csv", "\ud800": "b.csv"}},
     ],
     ids=[
         "density_width", "density_width_fraction", "density_width_bool", "records",
         "disciplines", "bins", "roster", "out", "rounding_false", "rounding_zero",
         "rounding_object", "format_zero", "format_list", "bins_empty", "out_empty",
-        "records_empty_path", "records_empty_tag", "unknown_key",
+        "records_empty_path", "records_empty_tag", "unknown_key", "out_surrogate",
+        "roster_surrogate", "bins_surrogate", "records_surrogate_tag",
     ],
 )
 def test_config_value_of_wrong_type_exits_2(value, tmp_path, capsys, monkeypatch):
@@ -663,6 +708,22 @@ def test_empty_flag_value_exits_2(flag, tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith(f"scimetrics: ConfigError: invalid {flag}")
     assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_undecodable_argv_bytes_name_a_path_but_no_database_tag(tmp_path, capsys):
+    # Bytes of a command-line argument that are not UTF-8 arrive as surrogate
+    # escapes: a file can be named with them, a report cannot hold them.
+    assert config_of([*BASE_ARGS, "--out", "o\udcff"]).out_dir == Path(os.fsdecode(b"o\xff"))
+    data = write_golden_fixture(tmp_path)
+    args = args_for(data, tmp_path / "out")
+    args[3] += "\udcff"
+    capsys.readouterr()
+    assert main(["index", *args]) == 2
+    assert capsys.readouterr().err == (
+        "scimetrics: ConfigError: invalid --records tag (config key 'records'):"
+        " cannot be encoded as UTF-8, got 'wos\\udcff'\n"
+    )
     assert not (tmp_path / "out").exists()
 
 
@@ -836,3 +897,44 @@ def test_no_temp_files_left_behind(tmp_path):
     for command in ALL_COMMANDS:
         assert main([command, *args_for(SYNTHETIC, out)]) == 0
     assert not [p for p in out.iterdir() if p.suffix == ".tmp"]
+
+
+# ---------------------------------------------------------------------------
+# one argument parser per process
+# ---------------------------------------------------------------------------
+
+def test_full_run_builds_the_parser_once(tmp_path, capsys):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_full_analysis.py"
+    spec = importlib.util.spec_from_file_location("run_full_analysis", script)
+    run_full_analysis = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_full_analysis)
+    cli._parser.cache_clear()
+    assert run_full_analysis.run(SYNTHETIC, tmp_path / "out", []) == 0
+    assert cli._parser.cache_info().misses == 1
+    capsys.readouterr()
+
+
+def outcome(argv, capsys):
+    """(exit code, stdout, stderr) of one ``main`` call; a usage exit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+def test_a_reused_parser_answers_as_a_fresh_one(tmp_path, capsys):
+    data = write_golden_fixture(tmp_path)
+    calls = (
+        ["rank", "--key", "nope", *args_for(data, tmp_path / "out")],
+        ["rank", "--key", "g", *args_for(data, tmp_path / "out")],
+        ["rank", "--help"],
+        ["--help"],
+    )
+    reused = [outcome(argv, capsys) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv, capsys))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [2, 0, 0, 0]

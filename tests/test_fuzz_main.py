@@ -1,7 +1,9 @@
 """Fuzz gate for ``main()``: any config or input gives an exit code, never an exception.
 
-Config files hold values of every JSON type; exports and rosters are the
-synthetic fixture with bytes replaced, inserted or deleted, as CSV or JSON.
+Config files hold values of every JSON type, strings with lone surrogates
+included; exports and rosters are the synthetic fixture with bytes replaced,
+inserted or deleted, as CSV or JSON, where a JSON input first has one field
+that the program reads set to such a string.
 """
 
 import contextlib
@@ -18,13 +20,19 @@ from scimetrics.cli import REPORTS, main
 
 SYNTHETIC = Path(__file__).resolve().parent / "data" / "synthetic"
 INPUTS = ("records_scopus", "records_wos", "roster")
+READ = ("author_key", "doi", "citations", "source", "discipline")  # columns the program reads
 FUZZ = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 
+# Characters including lone surrogates (U+D800..U+DFFF), as a JSON "\ud800"
+# escape decodes to; hypothesis's default text never draws them.
+CHARS = st.characters() | st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)
+any_text = st.text(CHARS, max_size=12)
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    st.none() | st.booleans() | st.integers() | st.floats() | any_text,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(CHARS, max_size=6), inner, max_size=3),
     max_leaves=6,
 )
 # "out" is never a string or null here, so a fuzzed config writes nowhere but
@@ -45,8 +53,7 @@ mutations = st.lists(
         st.integers(min_value=0),
         st.binary(min_size=1, max_size=4),
     ),
-    min_size=1,
-    max_size=4,
+    max_size=4,  # none at all lets a swapped JSON field reach a run undamaged
 )
 
 
@@ -55,8 +62,15 @@ def run_main(argv: list[str]) -> int:
         return main(argv)
 
 
-def as_json(csv_bytes: bytes) -> bytes:
-    return json.dumps(list(csv.DictReader(io.StringIO(csv_bytes.decode())))).encode()
+def as_json(csv_bytes: bytes, swap: tuple[int, int, str] | None = None) -> bytes:
+    """The CSV as a JSON array; ``swap`` = (row, column, text) sets one read field first."""
+    rows = list(csv.DictReader(io.StringIO(csv_bytes.decode())))
+    if swap is not None:
+        row, column, text = swap
+        fields = rows[row % len(rows)]
+        names = [name for name in fields if name in READ]
+        fields[names[column % len(names)]] = text
+    return json.dumps(rows).encode()
 
 
 def mutate(data: bytes, edits: list[tuple[str, int, bytes]]) -> bytes:
@@ -97,8 +111,9 @@ def test_main_on_any_config_returns_an_exit_code(overrides, command, tmp_path, m
     fmt=st.sampled_from(("csv", "json")),
     edits=mutations,
     command=st.sampled_from(sorted(REPORTS)),
+    swap=st.tuples(st.integers(min_value=0), st.integers(min_value=0), any_text),
 )
-def test_main_on_mutated_inputs_returns_an_exit_code(target, fmt, edits, command):
+def test_main_on_mutated_inputs_returns_an_exit_code(target, fmt, edits, command, swap):
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for name in INPUTS:
@@ -106,7 +121,7 @@ def test_main_on_mutated_inputs_returns_an_exit_code(target, fmt, edits, command
             suffix = "csv"
             if name == target:
                 if fmt == "json":
-                    data, suffix = as_json(data), "json"
+                    data, suffix = as_json(data, swap), "json"
                 data = mutate(data, edits)
             paths[name] = Path(tmp) / f"{name}.{suffix}"
             paths[name].write_bytes(data)

@@ -211,7 +211,9 @@ near_bound = st.integers(CITATIONS_BOUND - 2, CITATIONS_BOUND + 2)
 )
 def test_parse_citations_agrees_with_previous_implementation(value):
     count = oracle_parse_citations(value)
-    assert _parse_citations(value) == (None if count is None or count > CITATIONS_BOUND else count)
+    assert _parse_citations([value])[0] == (
+        None if count is None or count > CITATIONS_BOUND else count
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +369,18 @@ def test_json_records_mirror_csv():
     assert [(r.row, r.reason) for r in rejects] == [(3, "missing doi")]
 
 
+# A str with a lone surrogate (JSON "\ud800") is no UTF-8 text: a non-string.
 @pytest.mark.parametrize(
     "field, value",
-    [("author_key", ["a1"]), ("doi", 7), ("source", ["scopus"])],
+    [
+        ("author_key", ["a1"]),
+        ("doi", 7),
+        ("source", ["scopus"]),
+        ("author_key", "\ud800x"),
+        ("doi", "10.1/\udfff"),
+        ("source", "scopus\udc80"),
+        ("citations", "5\ud800"),
+    ],
 )
 def test_json_export_value_of_wrong_type_is_rejected(field, value):
     row = {"author_key": "a1", "doi": "10.1/x", "citations": 5, "source": "scopus"}
@@ -377,10 +388,28 @@ def test_json_export_value_of_wrong_type_is_rejected(field, value):
     payload = [{"author_key": "a2", "doi": "10.1/y", "citations": 1}, row]
     accepted, rejects = parse_records(json.dumps(payload).encode(), "json", "scopus")
     assert accepted == {"a2": {"10.1/y": 1}}
-    assert [(r.row, r.reason) for r in rejects] == [(2, f"invalid {field}")]
+    key = "" if field == "author_key" else "a1"
+    assert rejects == [(2, key, f"invalid {field}")]
 
 
-@pytest.mark.parametrize("field, value", [("author_key", 7), ("discipline", ["bio"])])
+def test_json_field_priority_holds_for_lone_surrogates():
+    row = {"author_key": "\ud800", "doi": "10.1/\ud800", "citations": "x", "source": 3}
+    _, rejects = parse_records(json.dumps([row]).encode(), "json", "scopus")
+    assert rejects == [(1, "", "invalid author_key")]
+    row["author_key"] = "a1"
+    _, rejects = parse_records(json.dumps([row]).encode(), "json", "scopus")
+    assert rejects == [(1, "a1", "invalid doi")]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("author_key", 7),
+        ("discipline", ["bio"]),
+        ("author_key", "\ud800x"),
+        ("discipline", "b\udfff"),
+    ],
+)
 def test_json_roster_value_of_wrong_type_is_schema_error(field, value):
     row = dict.fromkeys(("author_key", "orcid", "researcher_id", "scopus_id"), "")
     row.update(author_key="a2", discipline="bio", display_name="")

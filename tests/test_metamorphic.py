@@ -1,6 +1,7 @@
 """Metamorphic laws of a full report run: input row order, author key
 spelling and a lower duplicate of an accepted row do not reach the report
-numbers.
+numbers, and a DOI shared with a co-author at no higher count does not reach
+the overlap numbers of a scope that already holds it.
 
 Each law runs on the 60-author fixture and on a small cohort of the
 ``cohort-sparse`` benchmark shape (many one-paper authors in many
@@ -17,6 +18,7 @@ import json
 import random
 import sys
 from collections import Counter
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -40,7 +42,7 @@ def _load(name: str, path: Path):
 cohorts = _load("cohorts", ROOT / "bench" / "cohorts.py")
 run_full_analysis = _load("run_full_analysis", ROOT / "scripts" / "run_full_analysis.py")
 
-# A fixed example count keeps the three laws, on both inputs, under 1 s.
+# A fixed example count keeps the four laws, on both inputs, under 1.5 s.
 LAWS = settings(max_examples=3, deadline=None)
 
 
@@ -186,3 +188,60 @@ def test_a_lower_duplicate_of_an_accepted_row_adds_only_its_reject_row(
             assert content == expected[other], other
     added = [str(len(rows) + 1), copy[key], "duplicate doi"]
     assert read_table(out / reject_name)[1] == [*base_rejects, added]
+
+
+OVERLAP_REPORTS = (
+    "overlap.csv", "overlap.json", "overlap_proportions.csv", "overlap_proportions.json"
+)
+
+
+def global_rows(path: Path) -> list:
+    """The global scope's rows of an overlap report."""
+    if path.suffix == ".json":
+        rows = json.loads(path.read_text(encoding="utf-8"))["rows"]
+        return [row for row in rows if row["discipline"] == "all"]
+    return [row for row in read_table(path)[1] if row[0] == "all"]
+
+
+@pytest.mark.parametrize("same", [True, False], ids=["same_discipline", "other_discipline"])
+@LAWS
+@given(data=st.data())
+def test_a_doi_copied_to_a_coauthor_leaves_the_overlap_of_its_scopes(
+    tmp_path_factory, baseline, same, data
+):
+    # Co-authors share a DOI: each scope's doi map keeps its highest count, so
+    # a copy with the same or a lower count adds no publication and no
+    # citation to a scope that already holds the DOI.
+    source, base_out = baseline
+    db = data.draw(st.sampled_from(("scopus", "wos")))
+    name, reject_name = f"records_{db}.csv", f"rejects_{db}.csv"
+    header, rows = read_table(source / name)
+    base_reject_path = base_out / reject_name
+    base_rejects = read_table(base_reject_path)[1] if base_reject_path.exists() else []
+    rejected = {int(row[0]) for row in base_rejects}
+    key, doi, count = map(header.index, ("author_key", "doi", "citations"))
+    accepted = [row for i, row in enumerate(rows, 1) if i not in rejected]
+    held = {(row[key], row[doi].lower()) for row in accepted}
+    roster_header, roster = read_table(source / "roster.csv")
+    discipline = dict(map(itemgetter(0, roster_header.index("discipline")), roster))
+
+    copy = list(data.draw(st.sampled_from(accepted)))
+    others = [a for a in discipline if a != copy[key] and (a, copy[doi].lower()) not in held]
+    coauthor = data.draw(
+        st.sampled_from([a for a in others if (discipline[a] == discipline[copy[key]]) == same])
+    )
+    copy[key] = coauthor
+    copy[count] = str(data.draw(st.integers(0, int(copy[count]))))
+    shared = tmp_path_factory.mktemp("shared")
+    for other in INPUTS:
+        (shared / other).write_bytes((source / other).read_bytes())
+    write_table(shared / name, header, [*rows, copy])
+    out = tmp_path_factory.mktemp("out")
+    got = run(shared, out)
+
+    assert (read_table(out / reject_name)[1] if reject_name in got else []) == base_rejects
+    for report in OVERLAP_REPORTS:
+        if same:
+            assert got[report] == (base_out / report).read_bytes(), report
+        else:
+            assert global_rows(out / report) == global_rows(base_out / report), report
