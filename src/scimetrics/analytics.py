@@ -20,7 +20,7 @@ from bisect import bisect_left
 from collections import Counter
 from itertools import repeat
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import DegenerateInput
 from .indices import IndexReport
@@ -95,22 +95,13 @@ def _bound(text: str) -> int:
 DEFAULT_BINS = BinSpec((0, 11, 21, 31, 41, 51))
 
 
-class CohortRow(NamedTuple):
-    """One author of a discipline with a report per database."""
-
-    author_key: str
-    reports: dict[str, IndexReport]
-
-
 class CohortTable(NamedTuple):
+    """A scope's authors as columns: ``reports[tag][i]`` is ``keys[i]``'s report in ``tag``."""
+
     discipline: str
     db_tags: tuple[str, str]
-    rows: tuple[CohortRow, ...]
-
-
-def db_reports(rows: Iterable[CohortRow], db: str) -> Iterator[IndexReport]:
-    """Each row's report from one database, in row order."""
-    return map(itemgetter(db), map(attrgetter("reports"), rows))
+    keys: tuple[str, ...]
+    reports: dict[str, tuple[IndexReport, ...]]
 
 
 class StatsSummary(NamedTuple):
@@ -145,19 +136,25 @@ def rank_authors(
 
 def build_cohort(
     discipline: str,
-    reports_by_author: dict[str, dict[str, IndexReport]],
+    keys: Sequence[str],
+    reports: dict[str, tuple[IndexReport, ...]],
     db_tags: tuple[str, str],
 ) -> CohortTable:
-    """Assemble a discipline cohort, one row per author in the order given.
+    """Assemble a discipline cohort from its author keys and one report column per database.
 
-    The rows share the given per-database report dicts. No report reads
-    the row order: each one sorts under a total order or is exact over
-    integer sums and counts. Raises DegenerateInput for an empty cohort.
+    The authors keep the order given, and the cohort shares the given
+    columns. No report reads the author order: each one sorts under a total
+    order or is exact over integer sums and counts. Raises DegenerateInput
+    for an empty cohort, and ValueError when the columns are not one per
+    database of ``db_tags``, each as long as ``keys``.
     """
-    if not reports_by_author:
+    if not keys:
         raise DegenerateInput(f"no authors in {discipline!r}")
-    rows = tuple(map(CohortRow._make, reports_by_author.items()))
-    return CohortTable(discipline=discipline, db_tags=db_tags, rows=rows)
+    if reports.keys() != set(db_tags):
+        raise ValueError(f"report columns {sorted(reports)} do not match databases {db_tags}")
+    if any(len(column) != len(keys) for column in reports.values()):
+        raise ValueError(f"every report column of {discipline!r} needs {len(keys)} reports")
+    return CohortTable(discipline, db_tags, tuple(keys), reports)
 
 
 def bin_proportions(values: Sequence[int], bins: BinSpec) -> tuple[int, ...]:
@@ -217,7 +214,7 @@ def per_bin_correlation(
     None (rendered as "-" in reports).
     """
     # (h, h_c) pairs sorted by h, so each bin is one slice; rho ignores pair order.
-    pairs = sorted(map(attrgetter("h", "h_c"), db_reports(cohort.rows, db)))
+    pairs = sorted(map(attrgetter("h", "h_c"), cohort.reports[db]))
     cuts = bins.cuts(list(map(itemgetter(0), pairs)))
     out: list[float | None] = []
     for start, stop in zip(cuts, cuts[1:]):
@@ -235,12 +232,12 @@ def diff_sd(cohort: CohortTable, key: str) -> float:
     uses the n-1 denominator. Raises DegenerateInput for cohorts below
     two authors.
     """
-    if len(cohort.rows) < 2:
+    if len(cohort.keys) < 2:
         raise DegenerateInput(
             f"need at least two authors in {cohort.discipline!r} for a deviation"
         )
     value = RANK_KEYS[key]
-    a, b = (map(value, db_reports(cohort.rows, db)) for db in cohort.db_tags)
+    a, b = (map(value, cohort.reports[db]) for db in cohort.db_tags)
     return _sample_sd(list(map(operator.sub, a, b)))
 
 

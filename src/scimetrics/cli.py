@@ -18,12 +18,12 @@ import json
 import os
 import sys
 from itertools import chain, count, repeat
-from operator import add, attrgetter, itemgetter
+from operator import add, attrgetter
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
 from . import analytics
-from .analytics import BinSpec, CohortTable, build_cohort, db_reports
+from .analytics import BinSpec, CohortTable, build_cohort
 from .config import OUT_DIR_ENV, ROUNDING_MODES, RunConfig
 from .crossdb import GLOBAL_SCOPE, classify_overlap, overlap_proportions
 from .errors import ConfigError, DegenerateInput, EmptyScope, SchemaError, ScimetricsError
@@ -260,18 +260,22 @@ def load_pipeline(config: RunConfig, reject_paths: list[Path] | None = None) -> 
 
     tags = config.db_tags
     profiles = build_profiles(accepted, roster, tags)
-    scopes: dict[str, list[AuthorProfile]] = {d: [] for d in disciplines}
-    for p in profiles:
-        scopes[p.discipline].append(p)
+    # One report column per database in roster order; each discipline picks its positions.
+    keys = tuple(map(_AUTHOR_KEY, profiles))
+    columns = {
+        tag: tuple(map(compute_hc, map(profile_to_citations, profiles, repeat(tag))))
+        for tag in tags
+    }
+    positions: dict[str, list[int]] = {d: [] for d in disciplines}
+    for i, p in enumerate(profiles):
+        positions[p.discipline].append(i)
+    scopes, cohorts = {}, {}
+    for scope, at in positions.items():
+        scopes[scope] = list(map(profiles.__getitem__, at))
+        picked = {tag: tuple(map(column.__getitem__, at)) for tag, column in columns.items()}
+        cohorts[scope] = build_cohort(scope, tuple(map(keys.__getitem__, at)), picked, tags)
     scopes[GLOBAL_SCOPE] = profiles
-    reports = {
-        p.author_key: {tag: compute_hc(profile_to_citations(p, tag)) for tag in tags}
-        for p in profiles
-    }
-    cohorts = {
-        scope: build_cohort(scope, {p.author_key: reports[p.author_key] for p in group}, tags)
-        for scope, group in scopes.items()
-    }
+    cohorts[GLOBAL_SCOPE] = build_cohort(GLOBAL_SCOPE, keys, columns, tags)
     return Pipeline(
         config=config, scopes=scopes, cohorts=cohorts, reject_paths=reject_paths
     )
@@ -285,8 +289,8 @@ def _scope_tags(pipeline: Pipeline) -> Iterator[tuple[str, str, CohortTable]]:
 
 
 def _values(cohort: CohortTable, tag: str, key: str) -> list[int]:
-    """One index of one database for every author of a cohort, in row order."""
-    return list(map(analytics.RANK_KEYS[key], db_reports(cohort.rows, tag)))
+    """One index of one database for every author of a cohort, in author order."""
+    return list(map(analytics.RANK_KEYS[key], cohort.reports[tag]))
 
 
 def _pct(config: RunConfig, count: int, total: int) -> float:
@@ -320,19 +324,28 @@ class Table(NamedTuple):
     plot: bool = False
 
 
+def _print_wrote(path: Path) -> None:
+    """Print ``wrote PATH``, backslash-escaping what stdout cannot encode (non-UTF-8 bytes)."""
+    line = f"wrote {path}"
+    try:
+        print(line)
+    except UnicodeEncodeError:
+        print(line.encode(sys.stdout.encoding, "backslashreplace").decode(sys.stdout.encoding))
+
+
 def write_tables(config: RunConfig, tables: list[Table]) -> None:
     """Write every table in the configured formats, printing each path."""
     for table in tables:
         if config.format in ("csv", "both"):
             path = config.out_dir / f"{table.name}.csv"
             write_csv(path, table.header, table.rows)
-            print(f"wrote {path}")
+            _print_wrote(path)
         if config.format in ("json", "both") and not table.plot:
             path = config.out_dir / f"{table.name}.json"
             write_json(
                 path, table.name, table.header, table.rows, table.json_rows, table.footnotes
             )
-            print(f"wrote {path}")
+            _print_wrote(path)
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +357,16 @@ def cmd_index(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
     rows = []
     for discipline, cohort in pipeline.cohorts.items():
         if discipline != GLOBAL_SCOPE:
-            ordered = sorted(cohort.rows, key=_AUTHOR_KEY)
-            keys = list(map(_AUTHOR_KEY, ordered))
+            order = sorted(range(len(cohort.keys)), key=cohort.keys.__getitem__)
+            keys = list(map(cohort.keys.__getitem__, order))
             # Per tag, (discipline, author, tag) + report rows; zip interleaves
             # them so that each author's tags follow one another.
             per_tag = [
-                map(add, zip(repeat(discipline), keys, repeat(tag)), db_reports(ordered, tag))
+                map(
+                    add,
+                    zip(repeat(discipline), keys, repeat(tag)),
+                    map(cohort.reports[tag].__getitem__, order),
+                )
                 for tag in pipeline.config.db_tags
             ]
             rows += chain.from_iterable(zip(*per_tag))
@@ -447,24 +464,14 @@ def cmd_overlap(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
 def cmd_rank(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
     """Authors of every scope ranked by one index (``--key``), per database."""
     key = args.key
-    rankings = []
+    value = analytics.RANK_KEYS[key]
+    rows = []
+    plot_rows = []
     for scope, tag, cohort in _scope_tags(pipeline):
-        pairs = list(zip(map(_AUTHOR_KEY, cohort.rows), db_reports(cohort.rows, tag)))
-        rankings.append((scope, tag, analytics.rank_authors(pairs, key)))
-    rows = [
-        (scope, tag, rank, author_key, *report)
-        for scope, tag, ranking in rankings
-        for rank, (author_key, report) in enumerate(ranking, 1)
-    ]
-    plot_rows = [
-        point
-        for scope, tag, ranking in rankings
-        for point in zip(
-            repeat(f"{scope}/{tag}"),
-            count(1),
-            map(analytics.RANK_KEYS[key], map(itemgetter(1), ranking)),
-        )
-    ]
+        pairs = list(zip(cohort.keys, cohort.reports[tag]))
+        keys, reports = zip(*analytics.rank_authors(pairs, key))
+        rows += map(add, zip(repeat(scope), repeat(tag), count(1), keys), reports)
+        plot_rows += zip(repeat(f"{scope}/{tag}"), count(1), map(value, reports))
     return [
         Table(f"rank_{key}", ("discipline", "db", "rank", "author_key", *INDEX_COLUMNS), rows),
         Table(f"rank_{key}_plot", PLOT_HEADER, plot_rows, plot=True),
@@ -481,7 +488,7 @@ def cmd_bins(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
     for scope, tag, cohort in _scope_tags(pipeline):
         h_counts = analytics.bin_proportions(_values(cohort, tag, "h"), config.bins)
         hc_counts = analytics.bin_proportions(_values(cohort, tag, "h_c"), config.bins)
-        n = len(cohort.rows)
+        n = len(cohort.keys)
         row = [scope, tag]
         for h_count, hc_count in zip(h_counts, hc_counts):
             row += [_pct(config, h_count, n), _pct(config, hc_count, n)]
@@ -629,7 +636,7 @@ def main(argv: list[str] | None = None, loaded: dict | None = None) -> int:
             if loaded is not None:
                 loaded["pipeline"] = pipeline
         for path in reject_paths:
-            print(f"wrote {path}")
+            _print_wrote(path)
         build, _ = REPORTS[args.command]
         write_tables(config, build(pipeline, args))
         return 0

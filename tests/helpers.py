@@ -22,13 +22,10 @@ def cohort_from_profiles(
     profiles: Iterable[AuthorProfile], discipline: str, db_tags: tuple[str, str]
 ) -> CohortTable:
     """Compute every author's per-db index reports and build the cohort."""
-    reports = {
-        p.author_key: {
-            tag: compute_hc(profile_to_citations(p, tag)) for tag in db_tags
-        }
-        for p in profiles
-        if p.discipline == discipline
-    }
-    if not reports:
+    group = [p for p in profiles if p.discipline == discipline]
+    if not group:
         raise DegenerateInput(f"no authors in discipline {discipline!r}")
-    return build_cohort(discipline, reports, db_tags)
+    reports = {
+        tag: tuple(compute_hc(profile_to_citations(p, tag)) for p in group) for tag in db_tags
+    }
+    return build_cohort(discipline, tuple(p.author_key for p in group), reports, db_tags)

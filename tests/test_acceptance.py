@@ -313,8 +313,8 @@ def test_c7_low_bin_fluctuation_and_right_shift():
         assert low < high, f"rho in 0-10 ({low}) not below {label} ({high})"
 
     # density of h_c vs h: differences confined to low values, mass moved right
-    h_values = [row.reports["scopus"].h for row in cohort.rows]
-    hc_values = [row.reports["scopus"].h_c for row in cohort.rows]
+    h_values = [report.h for report in cohort.reports["scopus"]]
+    hc_values = [report.h_c for report in cohort.reports["scopus"]]
     for h, hc in zip(h_values, hc_values):
         if h > 30:
             assert hc == h  # no shift at all in high bins

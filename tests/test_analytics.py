@@ -50,8 +50,10 @@ def profile_with(h, top):
     return CitationProfile((top,) + (h,) * (h - 1) + (0,))
 
 
-def cohort_of(reports_by_author):
-    return build_cohort("physics", reports_by_author, DB_TAGS)
+def cohort_of(reports_by_author, db_tags=DB_TAGS):
+    """A cohort of the given authors, in order, from each one's per-database reports."""
+    columns = {tag: tuple(r[tag] for r in reports_by_author.values()) for tag in db_tags}
+    return build_cohort("physics", tuple(reports_by_author), columns, db_tags)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +479,7 @@ def test_diff_sd_matches_two_pass_oracle_and_invariances():
         assert diff_sd(cohort, "h") == pytest.approx(
             oracle_two_pass_sd(diffs), abs=1e-12
         )
-        swapped = build_cohort("physics", reports, ("wos", "scopus"))
+        swapped = cohort_of(reports, ("wos", "scopus"))
         assert diff_sd(swapped, "h") == pytest.approx(diff_sd(cohort, "h"), abs=1e-12)
         shifted = {
             k: {
@@ -596,10 +598,27 @@ def test_build_cohort_keeps_given_author_order():
         "a0": {"scopus": report_for(10), "wos": report_for(2)},
     }
     cohort = cohort_of(reports)
-    assert [r.author_key for r in cohort.rows] == ["a1", "a2", "a0"]
-    assert [r.reports for r in cohort.rows] == list(reports.values())
+    assert cohort.keys == ("a1", "a2", "a0")
+    for tag in DB_TAGS:
+        assert cohort.reports[tag] == tuple(r[tag] for r in reports.values())
     with pytest.raises(DegenerateInput):
         cohort_of({})
+
+
+def test_build_cohort_needs_one_full_column_per_database():
+    reports = {"scopus": (report_for(5), report_for(6)), "wos": (report_for(2), report_for(3))}
+    assert build_cohort("physics", ("a0", "a1"), reports, DB_TAGS).reports is reports
+    with pytest.raises(ValueError):
+        build_cohort("physics", ("a0", "a1"), {**reports, "wos": (report_for(2),)}, DB_TAGS)
+    with pytest.raises(ValueError):
+        build_cohort("physics", ("a0", "a1", "a2"), reports, DB_TAGS)
+    for tags in (("scopus", "lens"), ("wos", "lens")):
+        with pytest.raises(ValueError):
+            build_cohort("physics", ("a0", "a1"), reports, tags)
+    with pytest.raises(ValueError):
+        build_cohort("physics", ("a0", "a1"), {"scopus": reports["scopus"]}, DB_TAGS)
+    with pytest.raises(ValueError):
+        build_cohort("physics", ("a0", "a1"), {**reports, "lens": reports["wos"]}, DB_TAGS)
 
 
 def test_cohort_from_profiles_computes_reports():
@@ -623,11 +642,11 @@ def test_cohort_from_profiles_computes_reports():
         AuthorProfile("b0", "biology", {"scopus": {}, "wos": {}}),
     ]
     cohort = cohort_from_profiles(profiles, "physics", DB_TAGS)
-    assert len(cohort.rows) == 2
-    by_key = {r.author_key: r for r in cohort.rows}
-    assert by_key["a0"].reports["scopus"].h == 4
-    assert by_key["a1"].reports["scopus"].h_c == 7
-    assert by_key["a1"].reports["wos"] == compute_hc(CitationProfile(()))
+    assert cohort.keys == ("a0", "a1")
+    by_key = {tag: dict(zip(cohort.keys, cohort.reports[tag])) for tag in DB_TAGS}
+    assert by_key["scopus"]["a0"].h == 4
+    assert by_key["scopus"]["a1"].h_c == 7
+    assert by_key["wos"]["a1"] == compute_hc(CitationProfile(()))
     with pytest.raises(DegenerateInput):
         cohort_from_profiles(profiles, "chemistry", DB_TAGS)
 

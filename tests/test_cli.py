@@ -1,6 +1,7 @@
 """CLI contract: flags, exit codes, report files, determinism."""
 
 import csv
+import dataclasses
 import importlib.util
 import io
 import json
@@ -18,14 +19,16 @@ import pytest
 
 from scimetrics import cli
 from scimetrics.cli import (
-    MAX_DENSITY_WIDTH,
     SETTINGS,
     _pct,
     build_config,
     build_parser,
+    load_pipeline,
     main,
 )
 from scimetrics.config import RunConfig
+from scimetrics.indices import compute_hc
+from scimetrics.ingest import profile_to_citations
 
 from helpers import read_csv
 
@@ -538,6 +541,16 @@ def test_bins_flag_with_non_ascii_digit_bound_exits_2(tmp_path, capsys, spec):
     assert not (tmp_path / "out" / "author_bins.csv").exists()
 
 
+def test_bins_flag_bound_with_a_second_dash_exits_2(tmp_path, capsys):
+    # A bin splits at its first "-" only, so the rest is one bound.
+    data = write_golden_fixture(tmp_path)
+    assert main(["bins", *args_for(data, tmp_path / "out", "--bins", "0-10-5,11+")]) == 2
+    assert capsys.readouterr().err == (
+        "scimetrics: ConfigError: invalid --bins (config key 'bins'):"
+        " bin bound must be ASCII digits, got '10-5'\n"
+    )
+
+
 def test_density_width_flag(tmp_path):
     out = tmp_path / "out"
     assert main(["density", *args_for(SYNTHETIC, out, "--density-width", "10")]) == 0
@@ -727,6 +740,28 @@ def test_undecodable_argv_bytes_name_a_path_but_no_database_tag(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+def test_non_utf8_out_dir_is_printed_escaped_under_a_strict_stdout(tmp_path, monkeypatch):
+    # A strict UTF-8 stdout cannot encode the surrogate escape of a file-name
+    # byte that is not UTF-8; each "wrote" line escapes it instead.
+    data = write_golden_fixture(tmp_path)
+    with open(data / "records_scopus.csv", "a") as fh:
+        fh.write("a1,,1,scopus\n")  # a missing DOI: one reject, so a reject report
+    out = tmp_path / os.fsdecode(b"o\xff")
+    buffer = io.BytesIO()
+    stdout = io.TextIOWrapper(buffer, encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["index", *args_for(data, out)]) == 0
+    stdout.flush()
+    written = sorted(p.name for p in out.iterdir())
+    assert written == sorted(
+        ["rejects_scopus.csv", "index_report.csv", "index_report.json",
+         "index_stats.csv", "index_stats.json"]
+    )
+    escaped = str(out).replace("\udcff", "\\udcff")
+    lines = buffer.getvalue().decode("utf-8").splitlines()
+    assert sorted(lines) == sorted(f"wrote {escaped}/{name}" for name in written)
+
+
 def test_config_file_with_utf8_bom(tmp_path):
     data = write_golden_fixture(tmp_path)
     cfg_path = tmp_path / "run.json"
@@ -799,7 +834,11 @@ def test_invalid_setting_is_rejected_from_flag_or_file(key, tmp_path, capsys, mo
     assert (repr(key) if key != "disciplines" else "discipline set") in errors[0]
 
 
-@pytest.mark.parametrize("too_wide", [MAX_DENSITY_WIDTH + 1, 10**400])
+# README "Running": a density width is at most 2^63 - 1 = 9223372036854775807.
+WIDEST_DENSITY = 2**63 - 1
+
+
+@pytest.mark.parametrize("too_wide", [WIDEST_DENSITY + 1, 10**400])
 def test_density_width_above_the_bound_is_rejected_from_flag_or_file(
     too_wide, tmp_path, capsys, monkeypatch
 ):
@@ -810,13 +849,13 @@ def test_density_width_above_the_bound_is_rejected_from_flag_or_file(
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1] == (
         "scimetrics: ConfigError: invalid --density-width (config key 'density_width'):"
-        f" must be at most {MAX_DENSITY_WIDTH}, got {too_wide}\n"
+        f" must be at most 9223372036854775807, got {too_wide}\n"
     )
 
 
 def test_widest_density_width_gives_a_finite_series(tmp_path):
     out = tmp_path / "out"
-    extra = ("--density-width", str(MAX_DENSITY_WIDTH))
+    extra = ("--density-width", str(WIDEST_DENSITY))
     assert main(["density", *args_for(SYNTHETIC, out, *extra)]) == 0
     _, rows = read_csv(out / "density.csv")
     assert all(math.isfinite(float(x)) and 0 < float(y) < 1 for _, x, y in rows)
@@ -860,6 +899,39 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert (out / "index_report.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# cohort columns
+# ---------------------------------------------------------------------------
+
+def _bench_cohorts():
+    path = Path(__file__).resolve().parent.parent / "bench" / "cohorts.py"
+    spec = importlib.util.spec_from_file_location("bench_cohorts", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve the module by name
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("source", ["fixture", "cohort-sparse"])
+def test_each_scope_cohort_holds_its_profiles_reports_as_columns(source, tmp_path):
+    data = SYNTHETIC
+    if source == "cohort-sparse":
+        cohorts = _bench_cohorts()
+        data = tmp_path / "data"
+        cohorts.generate(dataclasses.replace(cohorts.WORKLOADS[source], authors=300), 7, data)
+    pipeline = load_pipeline(config_of(args_for(data, tmp_path / "out")))
+    assert list(pipeline.cohorts) == list(pipeline.scopes)
+    tags = pipeline.config.db_tags
+    for scope, profiles in pipeline.scopes.items():
+        cohort = pipeline.cohorts[scope]
+        assert (cohort.discipline, cohort.db_tags) == (scope, tags)
+        assert cohort.keys == tuple(p.author_key for p in profiles)
+        assert set(cohort.reports) == set(tags)
+        for tag in tags:
+            expected = tuple(compute_hc(profile_to_citations(p, tag)) for p in profiles)
+            assert cohort.reports[tag] == expected
 
 
 # ---------------------------------------------------------------------------

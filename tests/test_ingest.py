@@ -431,6 +431,18 @@ def test_invalid_utf8_mid_file_names_its_line(kind, newline, tmp_path):
         parse_records(data, "csv", "scopus")
 
 
+@pytest.mark.parametrize("kind", ["bytes", "path"])
+def test_invalid_utf8_past_line_1_of_a_bom_prefixed_export_names_its_line(kind, tmp_path):
+    # The line is counted from the file's first byte, the BOM included.
+    data = b"\xef\xbb\xbf" + records_csv([("a1", "10.1/x", 5, "scopus")])
+    data += b"a2,10.1/\xff,5,scopus\n"
+    if kind == "path":
+        (tmp_path / "records.csv").write_bytes(data)
+        data = tmp_path / "records.csv"
+    with pytest.raises(SchemaError, match="^input is not valid UTF-8 at line 3:"):
+        parse_records(data, "csv", "scopus")
+
+
 def test_json_must_be_array_of_objects():
     with pytest.raises(SchemaError):
         parse_records(b'{"author_key": "a1"}', "json", "scopus")
