@@ -25,7 +25,7 @@ from typing import Callable, Iterator, NamedTuple
 from . import analytics
 from .analytics import BinSpec, CohortTable, build_cohort
 from .config import OUT_DIR_ENV, ROUNDING_MODES, RunConfig
-from .crossdb import GLOBAL_SCOPE, classify_overlap, overlap_proportions
+from .crossdb import GLOBAL_SCOPE, DbOverlapStats, classify_overlap, overlap_proportions
 from .errors import ConfigError, DegenerateInput, EmptyScope, SchemaError, ScimetricsError
 from .indices import IndexReport, compute_hc
 from .ingest import (
@@ -117,12 +117,13 @@ def _density_width(key: str, value: object) -> int:
 
 def _disciplines(key: str, value: object) -> tuple[str, ...]:
     if isinstance(value, str):
-        value = [d.strip() for d in value.split(",") if d.strip()]
+        value = value.split(",")
     if not (isinstance(value, list) and all(isinstance(d, str) for d in value)):
         raise ValueError(f"must be a string or a list of strings, got {value!r}")
+    value = tuple(filter(None, map(str.strip, value)))  # a list item strips as a flag's does
     if not value:
         raise ConfigError("declared discipline set must be non-empty")
-    return tuple(value)
+    return value
 
 
 class Setting(NamedTuple):
@@ -401,56 +402,18 @@ def cmd_overlap(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
         report = classify_overlap(group, tags, scope, merged=merged)
         for tag in tags:
             stats = report.per_db[tag]
-            rows.append(
-                (
-                    scope,
-                    report.author_count,
-                    tag,
-                    stats.total_pubs,
-                    stats.unique_pubs,
-                    stats.pubs_received_citations,
-                    stats.total_citations,
-                    report.common_pubs,
-                )
-            )
+            rows.append((scope, report.author_count, tag, *stats, report.common_pubs))
         try:
-            props = overlap_proportions(report)
+            cells = overlap_proportions(report)
         except EmptyScope:
             continue  # nothing published in this scope: no shares to report
-        common = report.common_pubs
-        union = props.union_total
-        prop_rows.append(
-            (scope, "union", "common", props.common_share, _pct(config, common, union))
-        )
-        for tag in tags:
-            unique = report.per_db[tag].unique_pubs
-            share = props.unique_shares[tag]
-            prop_rows.append(
-                (scope, "union", f"unique_{tag}", share, _pct(config, unique, union))
-            )
-        for tag in tags:
-            stats = report.per_db[tag]
-            prop_rows.append(
-                (scope, tag, "common", props.per_db_common_share[tag],
-                 _pct(config, common, stats.total_pubs))
-            )
-            prop_rows.append(
-                (scope, tag, "unique", props.per_db_unique_share[tag],
-                 _pct(config, stats.unique_pubs, stats.total_pubs))
-            )
+        for denominator, series, part, whole in cells:
+            share = part / whole if whole else 0.0
+            prop_rows.append((scope, denominator, series, share, _pct(config, part, whole)))
     return [
         Table(
             "overlap",
-            (
-                "discipline",
-                "author_count",
-                "db",
-                "total_pubs",
-                "unique_pubs",
-                "pubs_received_citations",
-                "total_citations",
-                "common_pubs",
-            ),
+            ("discipline", "author_count", "db", *DbOverlapStats._fields, "common_pubs"),
             rows,
         ),
         Table(

@@ -3,6 +3,9 @@
 Classifies each scope's distinct DOIs as common to both databases or
 unique to one, and aggregates per-database publication and citation
 totals in the same shape as a per-discipline summary table.
+
+Each share is an exact (count, denominator) cell: the common and unique
+counts over the two databases' DOI union, or over one database's own.
 """
 
 from __future__ import annotations
@@ -30,22 +33,6 @@ class OverlapReport(NamedTuple):
     author_count: int
     per_db: dict[str, DbOverlapStats]
     common_pubs: int
-
-
-class OverlapProportions(NamedTuple):
-    """Common/unique shares under both denominator conventions.
-
-    union shares divide by the size of the two databases' DOI union and
-    sum to 1; per-db shares divide by that database's own distinct-DOI
-    count (common + unique = 1 per database).
-    """
-
-    scope: str
-    union_total: int
-    common_share: float
-    unique_shares: dict[str, float]
-    per_db_common_share: dict[str, float]
-    per_db_unique_share: dict[str, float]
 
 
 def _scope_dois(
@@ -115,29 +102,21 @@ def classify_overlap(
     )
 
 
-def overlap_proportions(report: OverlapReport) -> OverlapProportions:
-    """Shares of common and unique publications for one overlap report.
+def overlap_proportions(report: OverlapReport) -> list[tuple[str, str, int, int]]:
+    """``(denominator, series, count, total)`` share cells of one overlap report.
 
-    Raises EmptyScope when the scope's DOI union is empty.
+    "union" cells divide by the two databases' DOI union, which their counts
+    sum to; a database's cells by its own DOI count (common + unique =
+    ``total_pubs``, 0 when it has none). Raises EmptyScope for an empty union.
     """
-    union = report.common_pubs + sum(
-        stats.unique_pubs for stats in report.per_db.values()
-    )
+    common = report.common_pubs
+    union = common + sum(stats.unique_pubs for stats in report.per_db.values())
     if union == 0:
         raise EmptyScope(f"scope {report.scope!r} has no publications")
-    per_db_common = {}
-    per_db_unique = {}
+    cells = [("union", "common", common, union)]
     for tag, stats in report.per_db.items():
-        total = stats.total_pubs
-        per_db_common[tag] = report.common_pubs / total if total else 0.0
-        per_db_unique[tag] = stats.unique_pubs / total if total else 0.0
-    return OverlapProportions(
-        scope=report.scope,
-        union_total=union,
-        common_share=report.common_pubs / union,
-        unique_shares={
-            tag: stats.unique_pubs / union for tag, stats in report.per_db.items()
-        },
-        per_db_common_share=per_db_common,
-        per_db_unique_share=per_db_unique,
-    )
+        cells.append(("union", f"unique_{tag}", stats.unique_pubs, union))
+    for tag, stats in report.per_db.items():
+        cells.append((tag, "common", common, stats.total_pubs))
+        cells.append((tag, "unique", stats.unique_pubs, stats.total_pubs))
+    return cells

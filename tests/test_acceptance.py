@@ -234,8 +234,9 @@ def test_c5_partition_law_on_random_fixtures():
             assert stats.total_pubs == report.common_pubs + stats.unique_pubs
         if union == 0:
             continue
-        props = overlap_proportions(report)
-        total = props.common_share + sum(props.unique_shares.values())
+        cells = overlap_proportions(report)
+        common, *uniques = (count / whole for den, _, count, whole in cells if den == "union")
+        total = common + sum(uniques)
         assert abs(total - 1.0) < 1e-12
         checked_proportions += 1
     assert checked_proportions >= 100

@@ -694,8 +694,15 @@ def test_config_value_of_wrong_type_exits_2(value, tmp_path, capsys, monkeypatch
 
 @pytest.mark.parametrize(
     "flag, value",
-    [(",", None), ("", None), (None, []), (None, " , ")],
-    ids=["flag_commas", "flag_empty", "config_empty_list", "config_commas"],
+    [(",", None), ("", None), (None, []), (None, " , "), (None, [""]), (None, [" ", ""])],
+    ids=[
+        "flag_commas",
+        "flag_empty",
+        "config_empty_list",
+        "config_commas",
+        "config_empty_name",
+        "config_blank_names",
+    ],
 )
 def test_empty_discipline_set_exits_2(flag, value, tmp_path, capsys):
     data = write_golden_fixture(tmp_path)
@@ -779,7 +786,7 @@ VALID_SETTINGS = {
     "format": ("csv", "csv"),
     "bins": ("0-2,3+", "0-2,3+"),
     "density_width": ("3", 3),
-    "disciplines": ("b, a", ["b", "a"]),
+    "disciplines": (" b ,, a", [" b ", "", "a"]),  # each name stripped, empty ones dropped
     "rounding": ("raw", "raw"),
 }
 INVALID_SETTINGS = {

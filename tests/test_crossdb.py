@@ -172,19 +172,16 @@ def test_partition_law_and_symmetry_on_random_fixtures():
             s.unique_pubs for s in report.per_db.values()
         )
         if union:
-            props = overlap_proportions(report)
-            total_share = props.common_share + sum(props.unique_shares.values())
-            assert abs(total_share - 1.0) < 1e-12
+            cells = overlap_proportions(report)
+            union_cells = [cell for cell in cells if cell[0] == "union"]
+            assert sum(count for _, _, count, _ in union_cells) == union
+            assert {whole for _, _, _, whole in union_cells} == {union}
             for tag in DB_TAGS:
-                if report.per_db[tag].total_pubs:
-                    assert (
-                        abs(
-                            props.per_db_common_share[tag]
-                            + props.per_db_unique_share[tag]
-                            - 1.0
-                        )
-                        < 1e-12
-                    )
+                total = report.per_db[tag].total_pubs
+                own_cells = [cell for cell in cells if cell[0] == tag]
+                assert [series for _, series, _, _ in own_cells] == ["common", "unique"]
+                assert sum(count for _, _, count, _ in own_cells) == total
+                assert {whole for _, _, _, whole in own_cells} == {total}
 
 
 def test_proportions_basic():
@@ -194,17 +191,28 @@ def test_proportions_basic():
         scopus=[("10.1/a", 1), ("10.1/b", 1), ("10.1/c", 1)],
         wos=[("10.1/b", 1), ("10.1/c", 1), ("10.1/d", 1)],
     )
-    props = overlap_proportions(classify_overlap([profile], DB_TAGS))
-    assert props.common_share == 0.5
-    assert props.unique_shares == {"scopus": 0.25, "wos": 0.25}
-    assert props.union_total == 4
+    assert overlap_proportions(classify_overlap([profile], DB_TAGS)) == [
+        ("union", "common", 2, 4),
+        ("union", "unique_scopus", 1, 4),
+        ("union", "unique_wos", 1, 4),
+        ("scopus", "common", 2, 3),
+        ("scopus", "unique", 1, 3),
+        ("wos", "common", 2, 3),
+        ("wos", "unique", 1, 3),
+    ]
 
 
 def test_proportions_all_common():
     profile = make_profile("a1", "physics", scopus=[("10.1/a", 1)], wos=[("10.1/a", 2)])
-    props = overlap_proportions(classify_overlap([profile], DB_TAGS))
-    assert props.common_share == 1.0
-    assert props.unique_shares == {"scopus": 0.0, "wos": 0.0}
+    assert overlap_proportions(classify_overlap([profile], DB_TAGS)) == [
+        ("union", "common", 1, 1),
+        ("union", "unique_scopus", 0, 1),
+        ("union", "unique_wos", 0, 1),
+        ("scopus", "common", 1, 1),
+        ("scopus", "unique", 0, 1),
+        ("wos", "common", 1, 1),
+        ("wos", "unique", 0, 1),
+    ]
 
 
 def test_empty_scope():
@@ -232,3 +240,7 @@ def test_partition_law_exhaustive(dois_a, dois_b):
         + report.per_db["wos"].unique_pubs
         == union
     )
+    if union:
+        union_cells = [cell for cell in overlap_proportions(report) if cell[0] == "union"]
+        assert sum(count for _, _, count, _ in union_cells) == union
+        assert {whole for _, _, _, whole in union_cells} == {union}

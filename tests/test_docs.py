@@ -1,6 +1,7 @@
 """README documents the whole command line and the package's exports."""
 
 import argparse
+import importlib.util
 import json
 import re
 import types
@@ -9,8 +10,15 @@ from pathlib import Path
 import scimetrics
 from scimetrics.cli import SETTINGS, build_parser, main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 CONFIG_FILE_KEYS = ("records", *SETTINGS)
+
+_spec = importlib.util.spec_from_file_location(
+    "run_full_analysis", ROOT / "scripts" / "run_full_analysis.py"
+)
+run_full_analysis = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(run_full_analysis)
 
 
 def readme_section(title: str) -> str:
@@ -57,3 +65,15 @@ def test_python_api_lists_the_package_exports():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(re.findall(r"`(\w+)`", sentence)) == exported
+
+
+def test_output_files_sentence_names_every_report(tmp_path, capsys):
+    assert run_full_analysis.run(ROOT / "tests" / "data" / "synthetic", tmp_path, []) == 0
+    # A full run ranks by h; README names those files with a placeholder key.
+    stems = {
+        re.sub(r"^rank_h(?=_plot$|$)", "rank_<key>", path.stem)
+        for path in tmp_path.iterdir()
+        if not path.name.startswith("rejects_")
+    }
+    sentence = readme_section("Running").split("Output files per command", 1)[1].split(".", 1)[0]
+    assert set(re.findall(r"`([\w<>]+)`", sentence)) == stems
