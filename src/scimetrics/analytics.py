@@ -52,10 +52,10 @@ class BinSpec(NamedTuple):
         for part in text.split(","):
             part = part.strip()
             if part.endswith("+") or part.endswith("-"):
-                pairs.append((_bound(part[:-1]), None))
+                pairs.append((ascii_digits(part[:-1]), None))
             elif "-" in part:
                 lo, hi = part.split("-", 1)
-                pairs.append((_bound(lo), _bound(hi)))
+                pairs.append((ascii_digits(lo), ascii_digits(hi)))
             else:
                 raise ValueError(f"cannot parse bin {part!r}")
         lows = [0]
@@ -85,7 +85,8 @@ class BinSpec(NamedTuple):
         return [0, *(bisect_left(column, lo) for lo in self.lows[1:]), len(column)]
 
 
-def _bound(text: str) -> int:
+def ascii_digits(text: str) -> int:
+    """A whole number written in ASCII digits, once whitespace is stripped."""
     text = text.strip()
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"bin bound must be ASCII digits, got {text!r}")
@@ -183,32 +184,42 @@ def _centred_ranks(values: Sequence[float]) -> list[int]:
     return list(map(code.__getitem__, values))
 
 
-def spearman_rho(pairs: Sequence[tuple[float, float]]) -> float:
-    """Rank correlation with fractional (average) ranks for ties.
+def spearman_sums(pairs: Sequence[tuple[float, float]]) -> tuple[int, int, int] | None:
+    """``(sxy, sxx, syy)`` over the pairs' doubled centred ranks; rho is ``sxy / sqrt(sxx * syy)``.
 
-    Raises DegenerateInput for fewer than two pairs or a constant
-    variable; such cells are reported as absent rather than as a number.
+    Tied values share their average rank. None for fewer than two pairs or
+    a constant variable: such a cell is reported as absent, not as a number.
     """
     if len(pairs) < 2:
-        raise DegenerateInput("need at least two pairs")
-    # Doubled centred ranks are exact ints, so the sums below are exact and
-    # perfect agreement yields exactly +-1.
+        return None
     dx = _centred_ranks(list(map(itemgetter(0), pairs)))
     dy = _centred_ranks(list(map(itemgetter(1), pairs)))
     sxx = sum(map(operator.mul, dx, dx))
     syy = sum(map(operator.mul, dy, dy))
     if not sxx or not syy:  # every centred rank of a constant variable is 0
-        raise DegenerateInput("constant variable")
-    sxy = sum(map(operator.mul, dx, dy))
+        return None
+    return sum(map(operator.mul, dx, dy)), sxx, syy
+
+
+def rho_of(sxy: int, sxx: int, syy: int) -> float:
+    """Rho from its exact sums in one float division; perfect agreement is exactly +-1."""
     if sxy * sxy == sxx * syy:
         return 1.0 if sxy > 0 else -1.0
     return sxy / math.sqrt(sxx * syy)
 
 
+def spearman_rho(pairs: Sequence[tuple[float, float]]) -> float:
+    """Rank correlation from ``spearman_sums``; DegenerateInput where those are None."""
+    sums = spearman_sums(pairs)
+    if sums is None:
+        raise DegenerateInput("need two or more pairs and no constant variable")
+    return rho_of(*sums)
+
+
 def per_bin_correlation(
     cohort: CohortTable, bins: BinSpec, db: str
-) -> list[float | None]:
-    """Spearman rho between h and h_c inside each h-bin of one database.
+) -> list[tuple[int, int, int] | None]:
+    """The ``spearman_sums`` of h and h_c inside each h-bin of one database.
 
     Bins with fewer than two authors, or with a constant variable, yield
     None (rendered as "-" in reports).
@@ -216,13 +227,7 @@ def per_bin_correlation(
     # (h, h_c) pairs sorted by h, so each bin is one slice; rho ignores pair order.
     pairs = sorted(map(attrgetter("h", "h_c"), cohort.reports[db]))
     cuts = bins.cuts(list(map(itemgetter(0), pairs)))
-    out: list[float | None] = []
-    for start, stop in zip(cuts, cuts[1:]):
-        try:
-            out.append(spearman_rho(pairs[start:stop]))
-        except DegenerateInput:
-            out.append(None)
-    return out
+    return [spearman_sums(pairs[start:stop]) for start, stop in zip(cuts, cuts[1:])]
 
 
 def diff_sd(cohort: CohortTable, key: str) -> float:

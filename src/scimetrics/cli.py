@@ -18,12 +18,13 @@ import json
 import os
 import sys
 from itertools import chain, count, repeat
+from math import isqrt
 from operator import add, attrgetter
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
 from . import analytics
-from .analytics import BinSpec, CohortTable, build_cohort
+from .analytics import BinSpec, CohortTable, ascii_digits, build_cohort
 from .config import OUT_DIR_ENV, ROUNDING_MODES, RunConfig
 from .crossdb import GLOBAL_SCOPE, DbOverlapStats, classify_overlap, overlap_proportions
 from .errors import ConfigError, DegenerateInput, EmptyScope, SchemaError, ScimetricsError
@@ -36,7 +37,7 @@ from .ingest import (
     parse_roster,
     profile_to_citations,
 )
-from .reports import round_half_up, write_csv, write_json
+from .reports import write_csv, write_json
 
 INDEX_COLUMNS = IndexReport._fields  # an IndexReport unpacks in this order
 _AUTHOR_KEY = attrgetter("author_key")
@@ -72,22 +73,20 @@ def _flag(key: str) -> str:
 
 
 def _string(value: object, encode: Callable[[str], bytes]) -> str:
-    """``value`` if it is a non-empty str that ``encode`` can encode.
+    """``value`` if it is a non-empty str with no NUL that ``encode`` can encode.
 
     A JSON string can hold a lone surrogate, which neither a report nor a
     file name can hold.
     """
     if not (isinstance(value, str) and value):
         raise ValueError(f"must be a non-empty string, got {value!r}")
+    if "\0" in value:  # no file name, and so no path, can hold a NUL
+        raise ValueError(f"must not hold a NUL, got {value!r}")
     try:
         encode(value)
     except UnicodeEncodeError:
         raise ValueError(f"cannot be encoded as UTF-8, got {value!r}") from None
     return value
-
-
-def _text(key: str, value: object) -> str:
-    return _string(value, str.encode)
 
 
 def _path(key: str, value: object) -> Path:
@@ -104,7 +103,7 @@ def _choice(key: str, value: object) -> str:
 
 
 def _bins(key: str, value: object) -> BinSpec:
-    return BinSpec.parse(_text(key, value))
+    return BinSpec.parse(_string(value, str.encode))
 
 
 def _density_width(key: str, value: object) -> int:
@@ -154,7 +153,7 @@ SETTINGS = {
     ),
     "format": Setting(_choice, "report formats (default both)", choices=("csv", "json", "both")),
     "bins": Setting(_bins, 'bin spec such as "0-10,11-20,...,51+"'),
-    "density_width": Setting(_density_width, "histogram bin width (default 5)", type=int),
+    "density_width": Setting(_density_width, "histogram bin width (default 5)", type=ascii_digits),
     "disciplines": Setting(_disciplines, "comma-separated declared discipline set"),
     "rounding": Setting(_choice, "report value formatting", choices=ROUNDING_MODES),
 }
@@ -162,23 +161,25 @@ SETTINGS = {
 
 def _records(file_value: object, flags: list[str] | None) -> tuple[tuple[str, Path], ...]:
     """The config file's dbtag -> path map, overridden per tag by ``--records`` flags."""
-    if not isinstance(file_value, dict) or not all(
-        tag and isinstance(p, str) and p for tag, p in file_value.items()
-    ):
+    if not isinstance(file_value, dict):
         raise ConfigError("config file 'records' must map dbtag -> path")
-    records = {tag: Path(p) for tag, p in file_value.items()}
+    records = dict(file_value)
     for value in flags or []:
         path, sep, tag = value.rpartition("@")
         if not sep or not path or not tag:
             raise ConfigError(f"--records expects <path>@<dbtag>, got {value!r}")
-        records[tag] = Path(path)
+        records[tag] = path
+    for tag, path in records.items():
+        part = "path"
+        try:
+            records[tag] = _path("records", path)
+            part = "tag"  # written into the reports, and names the database's reject file
+            if {os.sep, os.altsep} & set(_string(tag, str.encode)):  # altsep is None on POSIX
+                raise ValueError(f"must not hold a path separator, got {tag!r}")
+        except ValueError as exc:
+            raise ConfigError(f"invalid --records {part} (config key 'records'): {exc}") from None
     if len(records) != 2:
         raise ConfigError(f"exactly two database tags required, got {sorted(records)}")
-    for tag in records:  # each tag is written into the reports
-        try:
-            _text("records", tag)
-        except ValueError as exc:
-            raise ConfigError(f"invalid --records tag (config key 'records'): {exc}") from None
     return tuple(records.items())
 
 
@@ -297,8 +298,8 @@ def _values(cohort: CohortTable, tag: str, key: str) -> list[int]:
 def _pct(config: RunConfig, count: int, total: int) -> float:
     """``count`` as a percentage of ``total``; 0.0 when ``total`` is 0.
 
-    Half-up rounding to one decimal is done in integers, so exact ties
-    such as 23/80 = 28.75% round up.
+    Half-up rounding to tenths is done in integers, so exact ties such as
+    23/80 = 28.75% round up.
     """
     if not total:
         return 0.0
@@ -307,8 +308,13 @@ def _pct(config: RunConfig, count: int, total: int) -> float:
     return 100 * count / total
 
 
-def _rho(config: RunConfig, rho: float) -> float:
-    return round_half_up(rho, 2) if config.rounding == "half-up" else rho
+def _rho(config: RunConfig, sxy: int, sxx: int, syy: int) -> float:
+    """Rho from its exact sums; half-up to hundredths in integers, ties away from zero."""
+    if config.rounding != "half-up":
+        return analytics.rho_of(sxy, sxx, syy)
+    # For x = (200 * rho)**2, isqrt(floor(x)) = floor(200 * |rho|): m = floor(100 * |rho| + 1/2).
+    m = (isqrt(40000 * sxy * sxy // (sxx * syy)) + 1) // 2
+    return -(m / 100) if sxy < 0 else m / 100  # a negative rho that rounds to 0 is -0.0
 
 
 class Table(NamedTuple):
@@ -462,20 +468,19 @@ def cmd_bins(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
 def cmd_corr(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
     """Rank correlation between h and h_c inside each h-bin."""
     config = pipeline.config
-    labels = config.bins.labels()
     rows = []
     json_rows = []
     for scope, tag, cohort in _scope_tags(pipeline):
         rhos = [
-            None if rho is None else _rho(config, rho)
-            for rho in analytics.per_bin_correlation(cohort, config.bins, tag)
+            None if sums is None else _rho(config, *sums)
+            for sums in analytics.per_bin_correlation(cohort, config.bins, tag)
         ]
         rows.append((scope, tag, *("-" if rho is None else rho for rho in rhos)))
         json_rows.append((scope, tag, *rhos))
     return [
         Table(
             "rank_correlation",
-            ("discipline", "db", *labels),
+            ("discipline", "db", *config.bins.labels()),
             rows,
             json_rows=json_rows,
             footnotes=(

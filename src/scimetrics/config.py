@@ -16,7 +16,7 @@ class RunConfig(NamedTuple):
 
     ``records`` holds (tag, export file) of two databases, in report order.
     ``rounding`` controls report formatting only: "half-up" renders
-    percents to one decimal and correlations to two, "raw" keeps full
+    percents to tenths and correlations to hundredths, "raw" keeps full
     precision. Computations are never rounded.
     """
 

@@ -20,23 +20,12 @@ from __future__ import annotations
 import csv
 import os
 from contextlib import contextmanager, suppress
-from decimal import ROUND_HALF_UP, Decimal
 from itertools import chain, islice
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
 CHUNK_ROWS = 1024  # JSON rows encoded, and held as text, at a time
-
-
-def round_half_up(value: float, ndigits: int) -> float:
-    """Decimal rounding with ties away from zero (table formatting).
-
-    Works on the shortest decimal form of the float, so 2.25 -> 2.3 at
-    one digit where bankers' rounding would give 2.2.
-    """
-    quantum = Decimal(1).scaleb(-ndigits)
-    return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
 
 
 @contextmanager

@@ -17,6 +17,7 @@ from scimetrics.analytics import (
     DEFAULT_BINS,
     density_series,
     per_bin_correlation,
+    rho_of,
     spearman_rho,
 )
 from scimetrics.cli import main
@@ -304,7 +305,11 @@ def _crafted_cohort():
 
 def test_c7_low_bin_fluctuation_and_right_shift():
     cohort = _crafted_cohort()
-    rhos = per_bin_correlation(cohort, DEFAULT_BINS, "scopus")
+    # Each bin's exact sums, as a float through the helper that raw reports use.
+    rhos = [
+        None if sums is None else rho_of(*sums)
+        for sums in per_bin_correlation(cohort, DEFAULT_BINS, "scopus")
+    ]
     labels = DEFAULT_BINS.labels()
     low = rhos[labels.index("0-10")]
     assert low is not None and low < 1.0

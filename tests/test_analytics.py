@@ -21,6 +21,7 @@ from scimetrics.analytics import (
     diff_sd,
     per_bin_correlation,
     rank_authors,
+    rho_of,
     spearman_rho,
     stats_summary,
 )
@@ -397,19 +398,25 @@ def test_spearman_bounded(pairs):
 # per-bin correlation
 # ---------------------------------------------------------------------------
 
+def per_bin_rhos(cohort):
+    """Each default bin's rho as a float, through the helper that raw reports use."""
+    sums = per_bin_correlation(cohort, DEFAULT_BINS, "scopus")
+    return [None if s is None else rho_of(*s) for s in sums]
+
+
 def test_per_bin_rho_one_when_no_weights_and_h_varies():
     reports = {
         f"a{i}": {tag: report_for(h) for tag in DB_TAGS}
         for i, h in enumerate([2, 4, 6, 8, 9])
     }
-    rhos = per_bin_correlation(cohort_of(reports), DEFAULT_BINS, "scopus")
+    rhos = per_bin_rhos(cohort_of(reports))
     assert rhos[0] == 1.0
     assert rhos[1:] == [None] * 5  # empty bins are absent
 
 
 def test_per_bin_rho_constant_bin_is_absent():
     reports = {f"a{i}": {tag: report_for(7) for tag in DB_TAGS} for i in range(4)}
-    rhos = per_bin_correlation(cohort_of(reports), DEFAULT_BINS, "scopus")
+    rhos = per_bin_rhos(cohort_of(reports))
     assert rhos[0] is None
 
 
@@ -425,7 +432,7 @@ def test_per_bin_rho_drops_when_low_bins_get_weights():
         f"b{i}": {tag: report_for(h) for tag in DB_TAGS}
         for i, h in enumerate([32, 35, 38])
     }
-    rhos = per_bin_correlation(cohort_of({**low, **high}), DEFAULT_BINS, "scopus")
+    rhos = per_bin_rhos(cohort_of({**low, **high}))
     pairs = [(3, 6), (5, 5), (7, 7), (9, 11)]
     assert rhos[0] == pytest.approx(oracle_spearman(pairs), abs=1e-12)
     assert rhos[0] < 1.0

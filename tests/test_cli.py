@@ -1,5 +1,6 @@
 """CLI contract: flags, exit codes, report files, determinism."""
 
+import bisect
 import csv
 import dataclasses
 import importlib.util
@@ -7,6 +8,7 @@ import io
 import json
 import math
 import os
+import random
 import shutil
 import statistics
 import subprocess
@@ -18,15 +20,18 @@ from pathlib import Path
 import pytest
 
 from scimetrics import cli
+from scimetrics.analytics import rho_of, spearman_sums
 from scimetrics.cli import (
     SETTINGS,
     _pct,
+    _rho,
     build_config,
     build_parser,
     load_pipeline,
     main,
 )
 from scimetrics.config import RunConfig
+from scimetrics.errors import ConfigError
 from scimetrics.indices import compute_hc
 from scimetrics.ingest import profile_to_citations
 
@@ -368,6 +373,74 @@ def test_pct_raw_is_one_correctly_rounded_division():
     assert _pct(config, 1, 12) == 8.333333333333334
 
 
+# The half-way points (k + 1/2) / 100 between two-place values, squared:
+# 100 * |rho| rounds half-up to the number of them that rho**2 reaches.
+RHO_HALVES_SQUARED = [Fraction((2 * k + 1) ** 2, 40000) for k in range(100)]
+
+
+def oracle_half_up_rho(sxy, sxx, syy):
+    """Two-place |rho| in hundredths, ties away from zero, and rho's sign.
+
+    Only squares are compared, as exact fractions, so no float enters.
+    """
+    m = bisect.bisect_right(RHO_HALVES_SQUARED, Fraction(sxy * sxy, sxx * syy))
+    return m, -1.0 if sxy < 0 else 1.0
+
+
+def assert_half_up_rho(sums):
+    config = RunConfig(records={}, roster=Path(), out_dir=Path())
+    m, sign = oracle_half_up_rho(*sums)
+    rho = _rho(config, *sums)
+    assert (abs(rho), math.copysign(1.0, rho)) == (m / 100, sign), sums
+
+
+def test_rho_half_up_matches_fraction_oracle_on_small_bins():
+    rng = random.Random(28)
+    seen, ties = set(), set()
+    halves = set(RHO_HALVES_SQUARED)
+    for _ in range(20000):
+        span = rng.choice((2, 3, 5, 10, 30))
+        pairs = [(rng.randint(0, span), rng.randint(0, span)) for _ in range(rng.randint(2, 12))]
+        sums = spearman_sums(pairs)
+        if sums is None or sums in seen:
+            continue
+        seen.add(sums)
+        assert_half_up_rho(sums)
+        sxy, sxx, syy = sums
+        if Fraction(sxy * sxy, sxx * syy) in halves:
+            ties.add(sums)
+    # Every exact tie found rounds away from zero, as these do.
+    assert len(seen) > 10000 and len(ties) >= 20
+    config = RunConfig(records={}, roster=Path(), out_dir=Path())
+    assert {(4, 32, 32), (-4, 32, 32), (-28, 32, 32), (57, 200, 200)} <= ties
+    assert [_rho(config, *sums) for sums in [(4, 32, 32), (-4, 32, 32), (-28, 32, 32)]] == [
+        0.13, -0.13, -0.88
+    ]
+    assert _rho(config, 57, 200, 200) == 0.29
+    # In bins of up to 12 authors sxx, syy <= 12 * 143 / 3 = 572, so a rho that
+    # is no half-way point lies at least 1 / (80000 * 572**2), about 3.8e-11,
+    # from one: far beyond a float rho's rounding error. A search of 300,000
+    # such bins found no cell where rounding the float's shortest repr half-up
+    # gives another value.
+
+
+def test_rho_cell_keeps_its_sign_and_exact_ends():
+    half_up = RunConfig(records={}, roster=Path(), out_dir=Path())
+    raw = half_up._replace(rounding="raw")
+    tiny = [(0, 23), (19, 23), (23, 7), (29, 13), (22, 2), (24, 26), (29, 10), (16, 9), (19, 10)]
+    zero = [(20, 12), (11, 9), (11, 29)]
+    assert spearman_sums(tiny) == (-1, 236, 236) and spearman_sums(zero) == (0, 6, 8)
+    assert math.copysign(1.0, _rho(half_up, -1, 236, 236)) == -1.0  # -1/236 prints -0.0
+    assert math.copysign(1.0, _rho(half_up, 0, 6, 8)) == 1.0
+    for sums in [(-1, 236, 236), (0, 6, 8), (2, 3, 4)]:
+        assert_half_up_rho(sums)
+        sxy, sxx, syy = sums
+        assert _rho(raw, *sums) == sxy / math.sqrt(sxx * syy) == rho_of(*sums)
+    for pairs, end in [([(1, 1), (2, 2), (3, 3)], 1.0), ([(1, 3), (2, 2), (3, 1)], -1.0)]:
+        sums = spearman_sums(pairs)
+        assert _rho(half_up, *sums) == _rho(raw, *sums) == end
+
+
 def test_corr_table_absent_cells(tmp_path):
     out = tmp_path / "out"
     assert main(["corr", *args_for(SYNTHETIC, out)]) == 0
@@ -662,13 +735,18 @@ def test_requires_exactly_two_databases(tmp_path, capsys):
         {"roster": "r\udfff.csv"},
         {"bins": "0-10,11\ud800+"},
         {"records": {"scopus": "a.csv", "\ud800": "b.csv"}},
+        {"out": "o\u0000ut"},  # a NUL: no file name can hold it either
+        {"roster": "r\u0000.csv"},
+        {"records": {"scopus": "a\u0000.csv", "wos": "b.csv"}},
+        {"records": {"x\u0000y": "a.csv", "wos": "b.csv"}},
     ],
     ids=[
         "density_width", "density_width_fraction", "density_width_bool", "records",
         "disciplines", "bins", "roster", "out", "rounding_false", "rounding_zero",
         "rounding_object", "format_zero", "format_list", "bins_empty", "out_empty",
         "records_empty_path", "records_empty_tag", "unknown_key", "out_surrogate",
-        "roster_surrogate", "bins_surrogate", "records_surrogate_tag",
+        "roster_surrogate", "bins_surrogate", "records_surrogate_tag", "out_nul",
+        "roster_nul", "records_nul_path", "records_nul_tag",
     ],
 )
 def test_config_value_of_wrong_type_exits_2(value, tmp_path, capsys, monkeypatch):
@@ -745,6 +823,33 @@ def test_undecodable_argv_bytes_name_a_path_but_no_database_tag(tmp_path, capsys
         " cannot be encoded as UTF-8, got 'wos\\udcff'\n"
     )
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("tag", ["x/../../escaped", "w/o", "x\0y"])
+def test_database_tag_that_cannot_name_a_file_exits_2(tag, tmp_path, capsys, monkeypatch):
+    # A tag names its reject report, rejects_<tag>.csv in --out: a path
+    # separator would put that file elsewhere, and a NUL names no file. Every
+    # scopus row's source differs from the tag, so a run would write the report.
+    monkeypatch.chdir(tmp_path)
+    data = write_golden_fixture(tmp_path)
+    args = args_for(data, tmp_path / "out")
+    args[1] = f"{data}/records_scopus.csv@{tag}"
+    cfg = {"records": {tag: args[1].rpartition("@")[0], "wos": f"{data}/records_wos.csv"}}
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    for argv in (args, [*args[4:], "--config", str(cfg_path)]):
+        assert main(["index", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scimetrics: ConfigError: invalid --records tag (config key")
+        assert err.count("\n") == 1 and repr(tag) in err
+    written = sorted(os.listdir(tmp_path))  # no out/, and nothing beside it
+    assert written == ["records_scopus.csv", "records_wos.csv", "roster.csv", "run.json"]
+
+
+def test_database_tag_with_the_alternative_separator_is_refused(monkeypatch):
+    monkeypatch.setattr(os, "altsep", "\\")  # as on Windows
+    with pytest.raises(ConfigError, match="path separator"):
+        config_of(["--records", "a.csv@scopus", "--records", "b.csv@w\\o", "--roster", "r.csv"])
 
 
 def test_non_utf8_out_dir_is_printed_escaped_under_a_strict_stdout(tmp_path, monkeypatch):
@@ -866,6 +971,24 @@ def test_widest_density_width_gives_a_finite_series(tmp_path):
     assert main(["density", *args_for(SYNTHETIC, out, *extra)]) == 0
     _, rows = read_csv(out / "density.csv")
     assert all(math.isfinite(float(x)) and 0 < float(y) < 1 for _, x, y in rows)
+
+
+@pytest.mark.parametrize("width", ["1_0", "+5", "\u0665"])
+def test_density_width_flag_takes_ascii_digits_only(width, tmp_path, capsys):
+    # As a --bins bound: no underscore, no sign and no other script's digits.
+    with pytest.raises(SystemExit) as info:
+        main(["density", *args_for(SYNTHETIC, tmp_path / "out", "--density-width", width)])
+    assert info.value.code == 2
+    assert f"--density-width: invalid ascii_digits value: {width!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("width, step", [(" 7 ", 7), ("05", 5)])
+def test_density_width_flag_strips_whitespace_and_leading_zeros(width, step, tmp_path):
+    out = tmp_path / "out"
+    assert main(["density", *args_for(SYNTHETIC, out, "--density-width", width)]) == 0
+    _, rows = read_csv(out / "density.csv")
+    assert rows and all(float(x) % step == step / 2 for _, x, _ in rows)
 
 
 def test_records_order_is_database_order():

@@ -26,7 +26,7 @@ def _modules_added(*flags: str) -> set[str]:
 
 
 def test_import_loads_no_dataclasses_or_inspect():
-    assert not _modules_added() & {"dataclasses", "inspect"}
+    assert not _modules_added() & {"dataclasses", "inspect", "decimal"}
 
 
 def test_import_loads_no_statistics_fractions_or_random():
