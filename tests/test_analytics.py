@@ -559,6 +559,11 @@ def test_density_total_mass_is_one(values, width):
 # stats_summary
 # ---------------------------------------------------------------------------
 
+def test_stats_of_no_values_raise():
+    with pytest.raises(DegenerateInput, match="^no values to summarize$"):
+        stats_summary([])
+
+
 def test_stats_single_value_degenerate():
     summary = stats_summary([4])
     assert (summary.minimum, summary.maximum, summary.median, summary.mean) == (

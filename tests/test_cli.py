@@ -114,6 +114,60 @@ def test_empty_roster_exits_2(tmp_path, capsys):
     assert "empty roster" in capsys.readouterr().err
 
 
+def test_empty_export_exits_2(tmp_path, capsys):
+    data = write_golden_fixture(tmp_path)
+    (data / "records_scopus.csv").write_bytes(b"")  # 0 bytes, as from /dev/null
+    assert main(["index", *args_for(data, tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "scimetrics: SchemaError: empty input: no header row\n"
+
+
+def test_blank_roster_author_key_exits_2(tmp_path, capsys):
+    data = write_golden_fixture(tmp_path)
+    lines = (data / "roster.csv").read_text().splitlines()
+    lines[2] = " " + lines[2][len("a2"):]
+    (data / "roster.csv").write_text("\n".join(lines) + "\n")
+    assert main(["index", *args_for(data, tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "scimetrics: SchemaError: roster row 2: missing author_key\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "{",
+            "config file {}: Expecting property name enclosed in double quotes:"
+            " line 1 column 2 (char 1)",
+        ),
+        ("[]", "config file must hold a JSON object"),
+    ],
+    ids=["invalid_json", "array"],
+)
+def test_config_file_without_a_json_object_exits_2(text, message, tmp_path, capsys):
+    data = write_golden_fixture(tmp_path)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(text)
+    assert main(["index", *args_for(data, tmp_path / "out", "--config", str(cfg_path))]) == 2
+    assert capsys.readouterr().err == f"scimetrics: ConfigError: {message.format(cfg_path)}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config", [False, True], ids=["flags", "config_file"])
+def test_run_without_a_roster_exits_2(config, tmp_path, capsys):
+    data = write_golden_fixture(tmp_path)
+    args = args_for(data, tmp_path / "out")
+    del args[args.index("--roster") : args.index("--roster") + 2]
+    if config:  # the file names the exports, but no roster either
+        cfg_path = tmp_path / "run.json"
+        records = {tag: str(data / f"records_{tag}.csv") for tag in ("scopus", "wos")}
+        cfg_path.write_text(json.dumps({"records": records}))
+        args = ["--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    assert main(["index", *args]) == 2
+    assert capsys.readouterr().err == (
+        "scimetrics: ConfigError: --roster (config key 'roster') is required\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_input_exits_1(tmp_path, capsys):
     data = write_golden_fixture(tmp_path)
     (data / "records_wos.csv").unlink()

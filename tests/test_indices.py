@@ -157,6 +157,14 @@ def test_profile_rejects_negative_counts():
         CitationProfile((3, -1))
 
 
+@pytest.mark.parametrize("field", range(5))
+def test_report_rejects_a_negative_field(field):
+    values = [0] * 5
+    values[field] = -1
+    with pytest.raises(ValueError, match="^indices must be non-negative$"):
+        IndexReport(*values)
+
+
 def test_report_validates_consistency():
     with pytest.raises(ValueError):
         IndexReport(h=5, g=6, h_cite=30, k=2, h_c=6)  # h_c != h + k

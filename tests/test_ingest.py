@@ -238,6 +238,11 @@ def test_empty_file_with_header():
     assert accepted == {} and rejects == []
 
 
+def test_unsupported_format_is_schema_error():
+    with pytest.raises(SchemaError, match="^unsupported format 'xml'$"):
+        parse_records(records_csv([]), fmt="xml")
+
+
 def test_duplicate_rows_collapse_to_max():
     data = records_csv(
         [

@@ -6,10 +6,11 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from scimetrics import reports
@@ -58,13 +59,9 @@ def test_write_json_matches_json_dumps(tmp_path, table):
 @given(tables())
 def test_write_csv_matches_csv_writer(tmp_path, table):
     _, header, rows, _, _ = table
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
     path = tmp_path / "t.csv"
     write_csv(path, header, rows)
-    assert path.read_bytes() == buf.getvalue().encode("utf-8")
+    assert path.read_bytes() == csv_oracle(header, rows)
 
 
 @pytest.mark.parametrize("value", [b"x", {1}, [1], 1j])
@@ -132,6 +129,19 @@ def json_oracle(name, header, rows, footnotes=()):
     return (json.dumps(payload, indent=2) + "\n").encode("ascii")
 
 
+def csv_oracle(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def plain_rows(n):
+    """Exact ints and text that csv.writer writes as it is."""
+    return [(f"a{i}", i, "x y%s", -i) for i in range(n)]
+
+
 def awkward_rows(n):
     cells = AWKWARD * (4 * n // len(AWKWARD) + 1)
     return [tuple(cells[4 * i:4 * i + 4]) for i in range(n)]
@@ -177,6 +187,19 @@ def test_write_json_rejects_a_row_of_the_wrong_width(tmp_path, at, width):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("at", [0, CHUNK_ROWS - 1, CHUNK_ROWS, 2 * CHUNK_ROWS])
+@pytest.mark.parametrize("width", [3, 5])
+@pytest.mark.parametrize("cells", ["awkward", "plain"])
+def test_write_csv_rejects_a_row_of_the_wrong_width(tmp_path, at, width, cells):
+    # csv.writer alone would write the ragged row: a quietly wrong table.
+    rows = (awkward_rows if cells == "awkward" else plain_rows)(2 * CHUNK_ROWS + 2)
+    rows[at] = tuple(range(width))
+    rows[at + 1 if at % CHUNK_ROWS == 0 else at - 1] = tuple(range(8 - width))
+    with pytest.raises(TypeError, match="every row must have 4 cells, as the header has"):
+        write_csv(tmp_path / "t.csv", HEADER, rows)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_write_json_rejects_a_non_scalar_name_or_footnote(tmp_path):
     with pytest.raises(TypeError):
         write_json(tmp_path / "t.json", ["t"], HEADER, awkward_rows(3))
@@ -200,3 +223,88 @@ def test_write_json_encodes_once_per_chunk(tmp_path, monkeypatch):
     write_json(path, "t", HEADER, rows, footnotes=("f",))
     assert len(calls) <= 3
     assert path.read_bytes() == json_oracle("t", HEADER, rows, ("f",))
+
+
+def test_write_csv_writes_once_per_chunk(tmp_path, monkeypatch):
+    # One write per chunk of exact ints and plain text, not one per row.
+    writes = []
+    atomic_write = reports._atomic_write
+
+    @contextmanager
+    def counted(path):
+        with atomic_write(path) as fh:
+            write = fh.write
+
+            def counted_write(text):
+                writes.append(len(text))
+                return write(text)
+
+            fh.write = counted_write
+            yield fh
+
+    monkeypatch.setattr(reports, "_atomic_write", counted)
+    rows = plain_rows(3 * CHUNK_ROWS)
+    path = tmp_path / "t.csv"
+    write_csv(path, HEADER, rows)
+    assert len(writes) <= 1 + 3  # the header, then one per chunk
+    assert path.read_bytes() == csv_oracle(HEADER, rows)
+
+
+# ---------------------------------------------------------------------------
+# Typed columns: each chunk's columns take the fast path or fall back
+# ---------------------------------------------------------------------------
+
+# One strategy per column type. Each text column but the last holds one of the
+# characters that can make csv quote a field, so each rule is reached alone,
+# next to a NUL and non-ASCII text.
+STR_COLUMNS = [
+    st.text(st.sampled_from([quoted, "\x00", " ", "%", "a", "é", "😀"])) for quoted in ',"\r\n'
+] + [st.text()]
+COLUMNS = {
+    "int": st.integers(),
+    **{f"str{i}": text for i, text in enumerate(STR_COLUMNS)},
+    "float": st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    "none": st.none(),
+    "bool": st.booleans(),
+    "int_subclass": st.integers().map(Int),
+    "str_subclass": st.text().map(Text),
+}
+COLUMNS["mixed"] = st.one_of(*COLUMNS.values())
+# Exact ints and text, the columns that may skip the fallback; half the tables
+# draw only these.
+TYPED = ["int", *(f"str{i}" for i in range(len(STR_COLUMNS)))]
+
+
+@st.composite
+def chunked_tables(draw):
+    """(header, rows) of CHUNK_ROWS - 1, CHUNK_ROWS or CHUNK_ROWS + 1 rows with
+    typed columns; each column's last cell is drawn apart from the others, so
+    a chunk can differ in type or in quoting from the chunk before it."""
+    n = draw(st.sampled_from([CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1]))
+    pool = draw(st.sampled_from([TYPED, sorted(COLUMNS)]))
+    kinds = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    columns = []
+    for kind in kinds:
+        body = draw(st.lists(COLUMNS[kind], min_size=1, max_size=4))
+        columns.append([body[i % len(body)] for i in range(n - 1)] + [draw(COLUMNS[kind])])
+    return [f'{kind}%s,"{j}' for j, kind in enumerate(kinds)], list(zip(*columns))
+
+
+def one_odd_cell(cell):
+    """Plain text and ints with ``cell`` in the last row, a chunk of its own."""
+    return ["s", "n"], [("a", i) for i in range(CHUNK_ROWS)] + [(cell, CHUNK_ROWS)]
+
+
+@PROPERTY
+@given(chunked_tables())
+@example(one_odd_cell("a,b"))
+@example(one_odd_cell('a"b'))
+@example(one_odd_cell("a\rb"))
+@example(one_odd_cell("a\nb"))
+@example((["s"], [("",)] * (CHUNK_ROWS + 1)))  # csv quotes a lone empty field
+def test_typed_columns_match_csv_writer_and_json_dumps(tmp_path, table):
+    header, rows = table
+    write_csv(tmp_path / "t.csv", header, rows)
+    assert (tmp_path / "t.csv").read_bytes() == csv_oracle(header, rows)
+    write_json(tmp_path / "t.json", "t", header, rows)
+    assert (tmp_path / "t.json").read_bytes() == json_oracle("t", header, rows)
