@@ -27,7 +27,14 @@ from . import analytics
 from .analytics import BinSpec, CohortTable, ascii_digits, build_cohort
 from .config import OUT_DIR_ENV, ROUNDING_MODES, RunConfig
 from .crossdb import GLOBAL_SCOPE, DbOverlapStats, classify_overlap, overlap_proportions
-from .errors import ConfigError, DegenerateInput, EmptyScope, SchemaError, ScimetricsError
+from .errors import (
+    ConfigError,
+    DegenerateInput,
+    EmptyScope,
+    SchemaError,
+    ScimetricsError,
+    UnreadableInput,
+)
 from .indices import IndexReport, compute_hc
 from .ingest import (
     AuthorProfile,
@@ -197,7 +204,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         except (ValueError, RecursionError) as exc:
             raise ConfigError(f"config file {args.config}: {exc}") from exc
         if not isinstance(file_cfg, dict):
-            raise ConfigError("config file must hold a JSON object")
+            raise ConfigError(f"config file {args.config}: must hold a JSON object")
         unknown = sorted(file_cfg.keys() - SETTINGS.keys() - {"records"})
         if unknown:
             raise ConfigError(f"unknown config file key(s): {', '.join(map(repr, unknown))}")
@@ -242,13 +249,19 @@ def load_pipeline(config: RunConfig, reject_paths: list[Path] | None = None) -> 
         reject_paths = []
     accepted = {}
     for tag, path in config.records:
-        accepted[tag], rejects = parse_records(path, None, tag)
+        try:
+            accepted[tag], rejects = parse_records(path, None, tag)
+        except UnreadableInput as exc:
+            raise SchemaError(f"records export {path} ({tag}): {exc}") from exc
         if rejects:
             reject_path = config.out_dir / f"rejects_{tag}.csv"
             write_csv(reject_path, Reject._fields, rejects)
             reject_paths.append(reject_path)
 
-    roster = parse_roster(config.roster)
+    try:
+        roster = parse_roster(config.roster)
+    except UnreadableInput as exc:
+        raise SchemaError(f"roster {config.roster}: {exc}") from exc
     if not roster:
         raise SchemaError("empty roster")
 

@@ -10,7 +10,11 @@ class MalformedDoi(ScimetricsError):
 
 
 class SchemaError(ScimetricsError):
-    """An input file is structurally unusable (missing column, bad encoding)."""
+    """An input is structurally unusable: a file, a roster row or a record tag."""
+
+
+class UnreadableInput(SchemaError):
+    """An input file as a whole is unusable: no header, a missing column, bad UTF-8, CSV or JSON."""
 
 
 class UnknownAuthor(ScimetricsError):

@@ -14,24 +14,37 @@ import io
 import json
 import os
 import re
-from itertools import count, islice, repeat
+from itertools import chain, count, islice, repeat
 from operator import iadd, itemgetter
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import MalformedDoi, SchemaError, UnknownAuthor
+from .errors import MalformedDoi, SchemaError, UnknownAuthor, UnreadableInput
 from .indices import CitationProfile
 
-# An optional scheme/URL prefix, then the DOI: ASCII digits after "10.", then
-# a suffix with no whitespace and no control character (C0, DEL or C1).
-_DOI = re.compile(r"(?:https?://doi\.org/|doi:)?\s*(10\.[0-9]+/[^\s\x00-\x1f\x7f-\x9f]+)")
+# A DOI field, lowercased: blanks, an optional scheme/URL prefix, then the
+# DOI (ASCII digits after "10.", then a suffix with no whitespace and no
+# control character: C0, DEL or C1), then blanks. Group 1 is the DOI, or
+# None ("" in a findall) when the field is not one. Blank runs stop at "\n",
+# so one findall canonicalizes every line of a "\n"-joined column. No two
+# runs can take the same character, so a hostile line backtracks in linear
+# time (possessive runs would need Python 3.11).
+_DOI = re.compile(
+    r"^(?:[^\S\n]*(?:(?:https?://doi\.org/|doi:)[^\S\n]*)?"
+    r"(10\.[0-9]+/[^\s\x00-\x1f\x7f-\x9f]+)[^\S\n]*$)?.*$",
+    re.MULTILINE,
+)
 _CITATIONS_SHAPE = re.compile(r"-?[0-9]+")
 # The largest accepted citation count, the largest signed 64-bit value: a
 # count above it is rejected, so every total stays far below the interpreter's
 # int-to-string limit when it is written.
 MAX_CITATIONS = 2**63 - 1
-# Rows validated per loop step: enough to spread the per-step overhead, few
-# enough that a chunk of wide rows stays small.
+# Characters of CSV text read per block: enough to spread the per-block
+# overhead, few enough that one block of rows stays small.
+BLOCK = 1 << 16
+# Rows validated per loop step where ``csv.reader`` reads the rows.
 CHUNK_ROWS = 1024
+# Deletes every byte but "," and "\n", leaving the shape of a block's rows.
+_NOT_COMMA_OR_NEWLINE = bytes(range(256)).replace(b",", b"").replace(b"\n", b"")
 # Stands for a JSON string that is not UTF-8 text: it is no str, so it is
 # refused as any other non-string value is.
 _NOT_TEXT = object()
@@ -73,8 +86,25 @@ class AuthorProfile(NamedTuple):
 
 def _canonical_doi(raw: str) -> str | None:
     """``raw`` in canonical form, or None when it is not a DOI."""
-    match = _DOI.fullmatch(raw.strip().lower())
-    return match[1] if match else None
+    # A "\n" can only stand in a blank run, where a space means the same.
+    return _DOI.fullmatch(raw.lower().replace("\n", " "))[1]
+
+
+def _canonical_dois(fields: Sequence) -> list[str]:
+    """The canonical DOI of each field, or "" where this one pass finds none.
+
+    A field that is not a DOI gives "". So does every field of a column
+    that holds a value other than a str (JSON) or a field with a "\n",
+    which the pass cannot tell from a line end; ``_canonical_doi`` decides
+    those one at a time.
+    """
+    try:
+        text = "\n".join(fields).lower()
+    except TypeError:  # a JSON value that is not a str
+        return [""] * len(fields)
+    if text.count("\n") >= len(fields):  # a field holds "\n", or there is none
+        return [""] * len(fields)
+    return _DOI.findall(text)
 
 
 def normalize_doi(raw: str) -> str:
@@ -106,20 +136,25 @@ def _rows(
     fmt: str | None,
     required: tuple[str, ...],
     fields: tuple[str, ...],
-) -> Iterator[list[tuple]]:
-    """The ``fields`` of every data row of one input, as lists of row tuples.
+) -> Iterator[list[Sequence]]:
+    """The ``fields`` of every data row of one input, as columns.
 
-    Each list holds the next ``CHUNK_ROWS`` rows in file order (fewer at the
-    end), so that the caller validates a chunk per loop step. The input is
-    UTF-8, with or without a BOM. CSV is read one line at a time; JSON is
-    read whole and must be an array of objects, where an absent key or null
-    reads "", a string that is not UTF-8 text (it holds a lone surrogate)
-    reads as a non-string, and any other value is passed on as it is. A
-    CSV header must name every ``required`` column. Column positions are
-    resolved once from the header, where a repeated name means its last
-    column. A blank line is skipped and takes no row number, a missing
-    field reads "", and fields past the header are ignored. ``fields``
-    holds at least two names, so that ``itemgetter`` returns a tuple.
+    Each item holds one column per name in ``fields``, all of one length:
+    the next rows in file order, so that the caller validates a block of
+    rows per loop step. The input is UTF-8, with or without a BOM. JSON is
+    read whole, as one block, and must be an array of objects, where an
+    absent key or null reads "", a string that is not UTF-8 text (it holds
+    a lone surrogate) reads as a non-string, and any other value is passed
+    on as it is. CSV is read ``BLOCK`` characters at a time, each block
+    taken on to the end of its last line, so only one block is held at
+    once; ``_split_block`` splits a plain block into its columns. From the
+    first block that is not plain, the rest of the file goes through
+    ``csv.reader``, ``CHUNK_ROWS`` rows at a time. A CSV header must name
+    every ``required`` column. Column positions are resolved once from the
+    header, where a repeated name means its last column. A blank line is
+    skipped and takes no row number, a missing field reads "", and fields
+    past the header are ignored. ``fields`` holds at least two names, so
+    that ``itemgetter`` returns a tuple.
     """
     json_input = _infer_format(data, fmt) == "json"
     binary = io.BytesIO(data) if isinstance(data, bytes) else open(data, "rb")
@@ -127,40 +162,82 @@ def _rows(
         try:
             if json_input:
                 items = _json_objects(text.read())
-                for start in range(0, len(items), CHUNK_ROWS):
-                    yield [
-                        tuple(map(_json_field, map(item.get, fields)))
-                        for item in items[start : start + CHUNK_ROWS]
-                    ]
+                yield [[_json_field(item.get(name)) for item in items] for name in fields]
             else:
-                yield from _csv_rows(text, required, fields)
+                yield from _csv_columns(text, required, fields)
         except UnicodeDecodeError as exc:
             line = _bad_line(binary)
-            raise SchemaError(f"input is not valid UTF-8 at line {line}: {exc.reason}") from exc
+            raise UnreadableInput(
+                f"input is not valid UTF-8 at line {line}: {exc.reason}"
+            ) from exc
 
 
-def _csv_rows(
+def _csv_columns(
     text: IO[str], required: tuple[str, ...], fields: tuple[str, ...]
-) -> Iterator[list[tuple]]:
+) -> Iterator[list[Sequence]]:
     reader = csv.reader(text)
+    before = 0  # lines read before the first line of ``reader``
     try:
         header = next(reader, None)
         if header is None:
-            raise SchemaError("empty input: no header row")
+            raise UnreadableInput("empty input: no header row")
         position = {name: i for i, name in enumerate(header)}
         missing = [col for col in required if col not in position]
         if missing:
-            raise SchemaError(f"missing required column(s): {', '.join(missing)}")
+            raise UnreadableInput(f"missing required column(s): {', '.join(missing)}")
+        width = len(header)
+        at = [position.get(name, -1) for name in fields]
+        lines = reader.line_num
+        while block := text.read(BLOCK):
+            if block[-1] != "\n":
+                block += text.readline()
+            columns = _split_block(block, width, at)
+            if columns is None:
+                break
+            yield columns
+            lines += block.count("\n")
+        else:
+            return
+        # A quoted field can hold line ends, and so run on past any block.
+        before = lines
+        reader = csv.reader(chain(io.StringIO(block, newline=""), text))
         # Every non-blank row is extended by the pad, so a field past the end
         # of a short row, and a field the header lacks (position -1, the
         # pad's last), read "".
-        pad = [""] * len(header)
-        pick = itemgetter(*(position.get(name, -1) for name in fields))
-        rows = map(pick, map(iadd, filter(None, reader), repeat(pad)))
+        pad = [""] * width
+        rows = map(itemgetter(*at), map(iadd, filter(None, reader), repeat(pad)))
         while chunk := list(islice(rows, CHUNK_ROWS)):
-            yield chunk
+            yield list(zip(*chunk))
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise SchemaError(f"invalid CSV at line {reader.line_num}: {exc}") from exc
+        raise UnreadableInput(f"invalid CSV at line {before + reader.line_num}: {exc}") from exc
+
+
+def _split_block(block: str, width: int, at: list[int]) -> list[list[str]] | None:
+    """The columns at positions ``at`` of a block of whole CSV lines, or None.
+
+    A plain block is split with str methods into the fields ``csv.reader``
+    gives: a "\r\n" line end reads as "\n", and a position of -1 gives a
+    column of "". The result is None, for ``csv.reader`` to read, when the
+    block holds a quote, a lone "\r" or a NUL, a row with another field
+    count than ``width``, or a field over ``csv.field_size_limit()``.
+    """
+    if "\r" in block:
+        block = block.replace("\r\n", "\n")
+    if '"' in block or "\r" in block or "\0" in block:  # NUL: csv.reader refuses it before 3.11
+        return None
+    if block[0] == "\n" or "\n\n" in block or block[-1] != "\n":
+        # Blank lines take no row; the file's last line may lack its "\n".
+        block = "".join(line + "\n" for line in block.split("\n") if line)
+    shape = block.encode().translate(None, _NOT_COMMA_OR_NEWLINE)
+    n = len(shape) // width  # rows, if each is width - 1 commas and a "\n"
+    if shape != (b"," * (width - 1) + b"\n") * n:
+        return None
+    cells = block.replace("\n", ",").split(",")
+    cells.pop()  # after the last line end
+    limit = csv.field_size_limit()
+    if len(block) > limit and max(map(len, cells)) > limit:
+        return None
+    return [[""] * n if i < 0 else cells[i::width] for i in at]
 
 
 def _bad_line(binary: IO[bytes]) -> int:
@@ -179,9 +256,9 @@ def _json_objects(text: str) -> list[dict]:
     try:
         payload = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too-long ints, deep nesting
-        raise SchemaError(f"invalid JSON: {exc}") from exc
+        raise UnreadableInput(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, list) or not all(isinstance(item, dict) for item in payload):
-        raise SchemaError("JSON input must be an array of objects")
+        raise UnreadableInput("JSON input must be an array of objects")
     return payload
 
 
@@ -258,15 +335,18 @@ def parse_records(
     accepted: DoiMap = {}
     rejects: list[Reject] = []
     rownums = count(1)
-    for chunk in _rows(data, fmt, RECORD_COLUMNS, (*RECORD_COLUMNS, "source")):
-        counts = _parse_citations(list(map(itemgetter(2), chunk)))
-        # ``rownums`` comes last, so that the end of a chunk takes no number.
-        for (author_key, raw_doi, _, row_source), citations, rownum in zip(
-            chunk, counts, rownums
+    for keys, raw_dois, raw_counts, sources in _rows(
+        data, fmt, RECORD_COLUMNS, (*RECORD_COLUMNS, "source")
+    ):
+        dois = _canonical_dois(raw_dois)
+        counts = _parse_citations(raw_counts)
+        # ``rownums`` comes last, so that the end of a block takes no number.
+        for author_key, doi, raw_doi, citations, row_source, rownum in zip(
+            keys, dois, raw_dois, counts, sources, rownums
         ):
             try:
                 author_key = author_key.strip()
-                doi = _canonical_doi(raw_doi)
+                doi = doi or _canonical_doi(raw_doi)  # "" is left to the per-field rule
                 row_source = row_source.strip()
             except AttributeError:  # a JSON value that is not UTF-8 text or null
                 field = _non_string(
@@ -312,8 +392,8 @@ def parse_roster(
     entries: list[RosterEntry] = []
     seen: set[str] = set()
     rownums = count(1)
-    for chunk in _rows(data, fmt, ROSTER_COLUMNS, ("author_key", "discipline")):
-        for (author_key, discipline), rownum in zip(chunk, rownums):
+    for keys, disciplines in _rows(data, fmt, ROSTER_COLUMNS, ("author_key", "discipline")):
+        for author_key, discipline, rownum in zip(keys, disciplines, rownums):
             try:
                 author_key = author_key.strip()
                 discipline = discipline.strip()

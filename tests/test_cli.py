@@ -118,7 +118,20 @@ def test_empty_export_exits_2(tmp_path, capsys):
     data = write_golden_fixture(tmp_path)
     (data / "records_scopus.csv").write_bytes(b"")  # 0 bytes, as from /dev/null
     assert main(["index", *args_for(data, tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == "scimetrics: SchemaError: empty input: no header row\n"
+    assert capsys.readouterr().err == (
+        f"scimetrics: SchemaError: records export {data / 'records_scopus.csv'} (scopus):"
+        " empty input: no header row\n"
+    )
+
+
+def test_roster_without_a_required_column_names_the_roster(tmp_path, capsys):
+    data = write_golden_fixture(tmp_path)
+    (data / "roster.csv").write_text("author_key,discipline\na1,physics\n")
+    assert main(["index", *args_for(data, tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"scimetrics: SchemaError: roster {data / 'roster.csv'}: missing required"
+        " column(s): orcid, researcher_id, scopus_id, display_name\n"
+    )
 
 
 def test_blank_roster_author_key_exits_2(tmp_path, capsys):
@@ -138,7 +151,7 @@ def test_blank_roster_author_key_exits_2(tmp_path, capsys):
             "config file {}: Expecting property name enclosed in double quotes:"
             " line 1 column 2 (char 1)",
         ),
-        ("[]", "config file must hold a JSON object"),
+        ("[]", "config file {}: must hold a JSON object"),
     ],
     ids=["invalid_json", "array"],
 )
@@ -215,6 +228,10 @@ HOSTILE_EXPORTS = {
     "csv_huge_field": (
         "records_scopus.csv",
         "author_key,doi,citations\na1,10.1/" + "x" * 140_000 + ",5\n",
+    ),
+    "csv_10_mb_line_without_newline": (
+        "records_scopus.csv",
+        "author_key,doi,citations\n" + "x" * 10**7,
     ),
 }
 

@@ -4,7 +4,8 @@ The oracle below is the previous row source and the previous per-row loops
 of ``parse_records`` and ``parse_roster``, kept as they were apart from two
 calls into the rules they share with the chunked code: ``_json_field`` for
 a JSON value and ``_parse_citations`` on a one-value column per row. Inputs
-sit on both sides of the chunk edges at ``CHUNK_ROWS`` and twice that.
+sit on both sides of the chunk edges at ``CHUNK_ROWS`` and twice that, and
+of the edges between the ``BLOCK``-character blocks that CSV text is read in.
 """
 
 import csv
@@ -13,6 +14,8 @@ import json
 from operator import itemgetter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scimetrics import ingest
 from scimetrics.errors import SchemaError
@@ -266,3 +269,199 @@ def test_counts_are_parsed_once_per_chunk(monkeypatch):
     assert len(calls) <= 3 and sum(calls) == len(rows)
     monkeypatch.undo()
     assert (accepted, rejects) == oracle_parse_records(as_csv(rows), "csv", "scopus")
+
+
+# CSV text is read ``BLOCK`` characters at a time after the header line. Each
+# input below puts ``before`` at the very end of the first block and
+# ``after`` at the start of the second, with plain rows around them.
+HEADER = "author_key,doi,citations,source\n"
+
+
+def plain_rows(n, start=0):
+    return "".join(
+        f"a{i % 7},10.{i % 3}/p{i // 2},{i % 11},{'scopus' if i % 5 else ''}\n"
+        for i in range(start, start + n)
+    )
+
+
+def at_block_edge(before, after, newline="\n"):
+    """An export whose first block ends with ``before`` and whose second starts with ``after``."""
+    fill = ingest.BLOCK - len(before)
+    rows = plain_rows(fill // 24).replace("\n", newline)
+    pad = fill - len(rows) - len(f"a1,10.9/,1,scopus{newline}")
+    assert pad >= 0
+    rows += f"a1,10.9/{'x' * pad},1,scopus{newline}"
+    tail = plain_rows(40, start=5000).replace("\n", newline)
+    assert len(rows + before) == ingest.BLOCK
+    return HEADER.replace("\n", newline) + rows + before + after + tail
+
+
+def outcome(parse, data):
+    """What ``parse`` returns for ``data``, or the text of the SchemaError it raises."""
+    try:
+        accepted, rejects = parse(data, "csv")
+    except SchemaError as exc:
+        return "raises", str(exc)
+    return in_order(accepted), rejects
+
+
+def assert_like_the_oracle(text):
+    data = text.encode() if isinstance(text, str) else text
+    got = outcome(parse_records, data)
+    want = outcome(oracle_parse_records, data)
+    assert got == want
+    return got
+
+
+BLOCK_EDGES = {
+    "row_split_across_blocks": ("a2,10.1/spl", "it,3,scopus\n", "\n"),
+    "cr_ends_a_block_lf_starts_the_next": (
+        "a2,10.1/crlf,3,scopus\r", "\na3,10.1/z,4,\r\n", "\r\n"
+    ),
+    "blank_line_at_a_block_edge": ("a2,10.1/b,3,scopus\n", "\n\na3,10.1/c,4,scopus\n", "\n"),
+    "blank_line_ends_a_block": ("a2,10.1/b,3,scopus\n\n", "a3,10.1/c,4,scopus\n", "\n"),
+    "quoted_field_across_blocks": ('a2,"10.1/q', 'uo\nted, x",3,scopus\na3,"",1,\n', "\n"),
+    "quote_after_plain_crlf_blocks": (
+        "a2,10.1/q,3,scopus\r\n", 'a3,"10.1/""q""",4,scopus\r\n', "\r\n"
+    ),
+    "ragged_rows_in_the_next_block": (
+        "a2,10.1/r,3,scopus\n", "a3,10.1/s,4\na4,10.1/t,5,scopus,extra\n", "\n"
+    ),
+    "lone_cr_in_the_next_block": (
+        "a2,10.1/r,3,scopus\n", "a3,10.1/s,4,scopus\ra4,10.1/t,5,\n", "\n"
+    ),
+    "lone_cr_splits_a_row_of_the_header_width": (
+        "a2,10.1/r,3,\n", "a3,10.1/s,\r4,scopus\n", "\n"
+    ),
+    "whitespace_only_line": ("a2,10.1/r,3,scopus\n", " \n\t\na3,10.1/s,4,scopus\n", "\n"),
+    "nul_in_the_next_block": ("a2,10.1/r,3,scopus\n", "a3,10.1/\0s,4,scopus\n", "\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_EDGES))
+def test_block_edges_give_what_csv_reader_gives(case):
+    before, after, newline = BLOCK_EDGES[case]
+    accepted, rejects = assert_like_the_oracle(at_block_edge(before, after, newline))
+    assert sum(map(len, (pubs for _, pubs in accepted))) + len(rejects) > ingest.BLOCK // 30
+
+
+def test_one_ragged_row_in_an_otherwise_plain_block():
+    rows = plain_rows(3000).splitlines(keepends=True)
+    for at in (0, 1500, 2999):
+        for ragged in ("a9,10.1/short\n", "a9,10.1/long,1,scopus,x,y\n", "a9\n", ",,,\n"):
+            assert_like_the_oracle(HEADER + "".join(rows[:at]) + ragged + "".join(rows[at:]))
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("size", [1, ingest.BLOCK // 24, 3 * ingest.BLOCK // 24])
+def test_no_final_newline(size, newline):
+    text = HEADER + plain_rows(size)
+    assert_like_the_oracle(text.replace("\n", newline).rstrip(newline))
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_bom_prefixed_export_over_several_blocks(newline):
+    text = "\ufeff" + at_block_edge("a2,10.1/spl", f"it,3,scopus{newline}", newline)
+    accepted, _ = assert_like_the_oracle(text)
+    assert accepted[0][0] == "a0"
+
+
+def test_roster_over_several_blocks_with_crlf_and_a_quoted_tail():
+    rows = roster_rows(3 * ingest.BLOCK // 40)
+    text = as_csv(rows).decode().replace("\n", "\r\n")
+    text += '"a_last","","","","d1",""\r\n'
+    assert parse_roster(text.encode(), "csv") == oracle_parse_roster(text.encode(), "csv")
+
+
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        (b"a2,10.1/\xff,5,\n", "not valid UTF-8"),
+        (b"a2,10.1/" + b"x" * 140_000 + b",5,\n", "invalid CSV"),
+    ],
+    ids=["not-utf8", "over-field-limit"],
+)
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+def test_bad_row_past_the_first_block_names_the_oracle_line(bad_row, message, newline):
+    head = (HEADER + plain_rows(3 * ingest.BLOCK // 24)).encode().replace(b"\n", newline)
+    data = head + bad_row.replace(b"\n", newline) + plain_rows(5).encode()
+    _, text = assert_like_the_oracle(data)
+    assert message in text and f"line {head.count(newline) + 1}:" in text
+
+
+# Every Unicode whitespace character but "\n", which ends a line of the pass.
+BLANKS = "".join(c for c in map(chr, range(0x3001)) if c.isspace() and c != "\n")
+SUFFIX = "aZ09.-_/:;()\u0130\u03a3\u03c3\u03c2\xe9" + "\x00\x1f\x7f\x80\x85\x9f\xa0\u2028 \t\r\x0b\x1c"
+
+
+def any_case(text):
+    return st.tuples(*(st.sampled_from((c.lower(), c.upper())) for c in text)).map("".join)
+
+
+DOI_CELLS = st.one_of(
+    st.builds(
+        "{}{}{}10.{}/{}{}".format,
+        st.text(BLANKS, max_size=2),
+        st.sampled_from(("", "doi:", "https://doi.org/", "http://doi.org/")).flatmap(any_case),
+        st.text(BLANKS, max_size=2),
+        st.text("0123456789\u0663", max_size=3),
+        st.text(SUFFIX, max_size=5),
+        st.text(BLANKS, max_size=2),
+    ),
+    st.text("10./doi\u03a3\u0130" + SUFFIX + BLANKS[:12], max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(DOI_CELLS, max_size=12))
+@example(["10.1/A\u03a3", "10.1/\u03a3A", "10.1/\u03a3", " DOI:10.1/a\u03a3 ", "10.1/\u0130", ""])
+@example(["", "", "\x1c10.1/x\x85", "doi:\u300010.1/x", "10.1/x\x00"])
+def test_block_doi_pass_equals_the_per_field_rule(column):
+    want = [ingest._canonical_doi(field) or "" for field in column]
+    assert ingest._canonical_dois(column) == want
+
+
+@given(st.lists(st.one_of(DOI_CELLS, st.just("doi:\n10.1/x"), st.just("10.1/x\n")), min_size=1))
+def test_a_column_with_a_line_break_is_left_to_the_per_field_rule(column):
+    got = ingest._canonical_dois(column)
+    if any("\n" in field for field in column):
+        assert got == [""] * len(column)
+    else:
+        assert got == [ingest._canonical_doi(field) or "" for field in column]
+
+
+@pytest.mark.parametrize("doi", [" " * 10**6 + "x", "10." + "1" * 10**6 + " x"])
+def test_a_hostile_doi_cell_is_rejected_in_linear_time(doi):
+    assert ingest._canonical_dois(["10.1/a", doi, ""]) == ["10.1/a", "", ""]
+    payload = [{"author_key": "a1", "doi": doi, "citations": 1}]
+    assert parse_records(json.dumps(payload).encode(), "json") == ({}, [(1, "a1", "malformed doi")])
+    limit = csv.field_size_limit(2 * 10**6)
+    try:
+        data = (HEADER + plain_rows(3) + f"a1,{doi},1,\n").encode()
+        _, rejects = assert_like_the_oracle(data)
+    finally:
+        csv.field_size_limit(limit)
+    assert rejects[-1] == (4, "a1", "malformed doi")
+
+
+class CountedReads(io.StringIO):
+    """A text stream that counts the reads made from it."""
+
+    reads = 0
+
+    def read(self, size=-1):
+        self.reads += 1
+        return super().read(size)
+
+    def readline(self, size=-1):
+        self.reads += 1
+        return super().readline(size)
+
+
+def test_a_10_mb_line_is_read_in_one_piece_and_is_invalid_csv_at_line_2():
+    with pytest.raises(SchemaError, match=r"^invalid CSV at line 2: field larger than"):
+        parse_records(HEADER.encode() + b"x" * 10**7, "csv")
+    text = CountedReads(HEADER + "x" * 10**7, newline="")
+    with pytest.raises(SchemaError, match=r"^invalid CSV at line 2:"):
+        list(ingest._csv_columns(text, RECORD_COLUMNS, RECORD_COLUMNS))
+    assert text.reads == 3  # the header, one block, then the rest of the block's line

@@ -1,7 +1,8 @@
 """Metamorphic laws of a full report run: input row order, author key
 spelling and a lower duplicate of an accepted row do not reach the report
-numbers, and a DOI shared with a co-author at no higher count does not reach
-the overlap numbers of a scope that already holds it.
+numbers, a DOI shared with a co-author at no higher count does not reach
+the overlap numbers of a scope that already holds it, and the CSV inputs'
+line ends and quoting reach no output byte.
 
 Each law runs on the 60-author fixture and on a small cohort of the
 ``cohort-sparse`` benchmark shape (many one-paper authors in many
@@ -245,3 +246,44 @@ def test_a_doi_copied_to_a_coauthor_leaves_the_overlap_of_its_scopes(
             assert got[report] == (base_out / report).read_bytes(), report
         else:
             assert global_rows(out / report) == global_rows(base_out / report), report
+
+
+# How each CSV input is rewritten: its rows cut into equal runs, each run
+# written with its own line end and quoting (the header goes with the first).
+DIALECTS = {
+    "crlf": (("\r\n", csv.QUOTE_MINIMAL),),
+    "quote_all": (("\n", csv.QUOTE_ALL),),
+    "crlf_then_quoted": (("\r\n", csv.QUOTE_MINIMAL), ("\n", csv.QUOTE_ALL)),
+}
+
+
+def run_printing(data: Path, out: Path) -> tuple[dict[str, bytes], str]:
+    """A full run's files and standard output, with ``out`` spelled OUT."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert run_full_analysis.run(data, out, []) == 0
+    files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    return files, printed.getvalue().replace(str(out), "OUT")
+
+
+@pytest.mark.parametrize("block", [None, 97], ids=["default_blocks", "97_char_blocks"])
+@pytest.mark.parametrize("dialect", sorted(DIALECTS))
+def test_line_ends_and_quoting_change_no_output_byte(
+    tmp_path_factory, baseline, monkeypatch, dialect, block
+):
+    # Small blocks put the plain, CRLF and quoted readers of one file to work
+    # in turn, and cut rows at every offset.
+    source, _ = baseline
+    want = run_printing(source, tmp_path_factory.mktemp("out"))
+    if block is not None:
+        monkeypatch.setattr("scimetrics.ingest.BLOCK", block)
+    rewritten = tmp_path_factory.mktemp(dialect)
+    for name in INPUTS:
+        header, rows = read_table(source / name)
+        runs = DIALECTS[dialect]
+        size = -(-len(rows) // len(runs))
+        with open(rewritten / name, "w", newline="", encoding="utf-8") as fh:
+            for i, (newline, quoting) in enumerate(runs):
+                writer = csv.writer(fh, lineterminator=newline, quoting=quoting)
+                writer.writerows([header] * (i == 0) + rows[i * size : (i + 1) * size])
+    assert run_printing(rewritten, tmp_path_factory.mktemp("out")) == want
