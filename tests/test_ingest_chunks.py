@@ -373,6 +373,35 @@ def test_roster_over_several_blocks_with_crlf_and_a_quoted_tail():
     assert parse_roster(text.encode(), "csv") == oracle_parse_roster(text.encode(), "csv")
 
 
+PLAIN_EXPORTS = {
+    "lf": lambda text: text,
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    # A blank line after the first line end past character 2000.
+    "one_blank_line": lambda text: text[:2000] + text[2000:].replace("\n", "\n\n", 1),
+    "no_final_newline": lambda text: text.rstrip("\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLAIN_EXPORTS))
+def test_a_plain_export_builds_csv_reader_once_for_the_header(case, tmp_path, monkeypatch):
+    rows = 3 * ingest.BLOCK // 20
+    text = PLAIN_EXPORTS[case](HEADER + plain_rows(rows))
+    assert len(text) > 2 * ingest.BLOCK and text.count("\n\n") == (case == "one_blank_line")
+    path = tmp_path / "records.csv"
+    path.write_bytes(text.encode())
+    builds = []
+    reader = csv.reader
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return reader(*args, **kwargs)
+
+    monkeypatch.setattr(csv, "reader", counted)
+    accepted, rejects = parse_records(path, source="scopus")
+    assert len(builds) == 1
+    assert sum(map(len, accepted.values())) + len(rejects) == rows
+
+
 @pytest.mark.parametrize(
     "bad_row, message",
     [
