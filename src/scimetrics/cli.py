@@ -27,14 +27,7 @@ from . import analytics
 from .analytics import BinSpec, CohortTable, ascii_digits, build_cohort
 from .config import OUT_DIR_ENV, ROUNDING_MODES, RunConfig
 from .crossdb import GLOBAL_SCOPE, DbOverlapStats, classify_overlap, overlap_proportions
-from .errors import (
-    ConfigError,
-    DegenerateInput,
-    EmptyScope,
-    SchemaError,
-    ScimetricsError,
-    UnreadableInput,
-)
+from .errors import ConfigError, DegenerateInput, EmptyScope, ScimetricsError
 from .indices import IndexReport, compute_hc
 from .ingest import (
     AuthorProfile,
@@ -249,21 +242,13 @@ def load_pipeline(config: RunConfig, reject_paths: list[Path] | None = None) -> 
         reject_paths = []
     accepted = {}
     for tag, path in config.records:
-        try:
-            accepted[tag], rejects = parse_records(path, None, tag)
-        except UnreadableInput as exc:
-            raise SchemaError(f"records export {path} ({tag}): {exc}") from exc
+        accepted[tag], rejects = parse_records(path, tag)
         if rejects:
             reject_path = config.out_dir / f"rejects_{tag}.csv"
             write_csv(reject_path, Reject._fields, rejects)
             reject_paths.append(reject_path)
 
-    try:
-        roster = parse_roster(config.roster)
-    except UnreadableInput as exc:
-        raise SchemaError(f"roster {config.roster}: {exc}") from exc
-    if not roster:
-        raise SchemaError("empty roster")
+    roster = parse_roster(config.roster)
 
     # A declared discipline that no roster author has gets no scope.
     disciplines = sorted({entry.discipline for entry in roster})

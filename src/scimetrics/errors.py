@@ -13,10 +13,6 @@ class SchemaError(ScimetricsError):
     """An input is structurally unusable: a file, a roster row or a record tag."""
 
 
-class UnreadableInput(SchemaError):
-    """An input file as a whole is unusable: no header, a missing column, bad UTF-8, CSV or JSON."""
-
-
 class UnknownAuthor(ScimetricsError):
     """A publication record references an author_key absent from the roster."""
 

@@ -18,7 +18,7 @@ from itertools import chain, count, islice, repeat
 from operator import iadd, itemgetter
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import MalformedDoi, SchemaError, UnknownAuthor, UnreadableInput
+from .errors import MalformedDoi, SchemaError, UnknownAuthor
 from .indices import CitationProfile
 
 # A DOI field, lowercased: blanks, an optional scheme/URL prefix, then the
@@ -26,8 +26,7 @@ from .indices import CitationProfile
 # control character: C0, DEL or C1), then blanks. Group 1 is the DOI, or
 # None ("" in a findall) when the field is not one. Blank runs stop at "\n",
 # so one findall canonicalizes every line of a "\n"-joined column. No two
-# runs can take the same character, so a hostile line backtracks in linear
-# time (possessive runs would need Python 3.11).
+# runs can take the same character, so a hostile line backtracks in linear time.
 _DOI = re.compile(
     r"^(?:[^\S\n]*(?:(?:https?://doi\.org/|doi:)[^\S\n]*)?"
     r"(10\.[0-9]+/[^\s\x00-\x1f\x7f-\x9f]+)[^\S\n]*$)?.*$",
@@ -120,28 +119,15 @@ def normalize_doi(raw: str) -> str:
     return doi
 
 
-def _infer_format(data, fmt: str | None) -> str:
-    if fmt is not None:
-        if fmt not in ("csv", "json"):
-            raise SchemaError(f"unsupported format {fmt!r}")
-        return fmt
-    name = os.fspath(data) if isinstance(data, (str, os.PathLike)) else ""
-    if str(name).lower().endswith(".json"):
-        return "json"
-    return "csv"
-
-
 def _rows(
-    data: bytes | str | os.PathLike,
-    fmt: str | None,
-    required: tuple[str, ...],
-    fields: tuple[str, ...],
+    path: str | os.PathLike, required: tuple[str, ...], fields: tuple[str, ...]
 ) -> Iterator[list[Sequence]]:
-    """The ``fields`` of every data row of one input, as columns.
+    """The ``fields`` of every data row of one input file, as columns.
 
     Each item holds one column per name in ``fields``, all of one length:
     the next rows in file order, so that the caller validates a block of
-    rows per loop step. The input is UTF-8, with or without a BOM. JSON is
+    rows per loop step. The file is UTF-8, with or without a BOM, and is
+    JSON when its name ends in ".json" in any case, else CSV. JSON is
     read whole, as one block, and must be an array of objects, where an
     absent key or null reads "", a string that is not UTF-8 text (it holds
     a lone surrogate) reads as a non-string, and any other value is passed
@@ -156,20 +142,16 @@ def _rows(
     past the header are ignored. ``fields`` holds at least two names, so
     that ``itemgetter`` returns a tuple.
     """
-    json_input = _infer_format(data, fmt) == "json"
-    binary = io.BytesIO(data) if isinstance(data, bytes) else open(data, "rb")
-    with io.TextIOWrapper(binary, encoding="utf-8-sig", newline="") as text:
+    with open(path, encoding="utf-8-sig", newline="") as text:
         try:
-            if json_input:
+            if os.fspath(path).lower().endswith(".json"):
                 items = _json_objects(text.read())
                 yield [[_json_field(item.get(name)) for item in items] for name in fields]
             else:
                 yield from _csv_columns(text, required, fields)
         except UnicodeDecodeError as exc:
-            line = _bad_line(binary)
-            raise UnreadableInput(
-                f"input is not valid UTF-8 at line {line}: {exc.reason}"
-            ) from exc
+            line = _bad_line(text.buffer)
+            raise SchemaError(f"input is not valid UTF-8 at line {line}: {exc.reason}") from exc
 
 
 def _csv_columns(
@@ -180,11 +162,11 @@ def _csv_columns(
     try:
         header = next(reader, None)
         if header is None:
-            raise UnreadableInput("empty input: no header row")
+            raise SchemaError("empty input: no header row")
         position = {name: i for i, name in enumerate(header)}
         missing = [col for col in required if col not in position]
         if missing:
-            raise UnreadableInput(f"missing required column(s): {', '.join(missing)}")
+            raise SchemaError(f"missing required column(s): {', '.join(missing)}")
         width = len(header)
         at = [position.get(name, -1) for name in fields]
         lines = reader.line_num
@@ -209,7 +191,7 @@ def _csv_columns(
         while chunk := list(islice(rows, CHUNK_ROWS)):
             yield list(zip(*chunk))
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise UnreadableInput(f"invalid CSV at line {before + reader.line_num}: {exc}") from exc
+        raise SchemaError(f"invalid CSV at line {before + reader.line_num}: {exc}") from exc
 
 
 def _split_block(block: str, width: int, at: list[int]) -> list[list[str]] | None:
@@ -218,12 +200,12 @@ def _split_block(block: str, width: int, at: list[int]) -> list[list[str]] | Non
     A plain block is split with str methods into the fields ``csv.reader``
     gives: a "\r\n" line end reads as "\n", and a position of -1 gives a
     column of "". The result is None, for ``csv.reader`` to read, when the
-    block holds a quote, a lone "\r" or a NUL, a row with another field
-    count than ``width``, or a field over ``csv.field_size_limit()``.
+    block holds a quote or a lone "\r", a row with another field count
+    than ``width``, or a field over ``csv.field_size_limit()``.
     """
     if "\r" in block:
         block = block.replace("\r\n", "\n")
-    if '"' in block or "\r" in block or "\0" in block:  # NUL: csv.reader refuses it before 3.11
+    if '"' in block or "\r" in block:
         return None
     if block[0] == "\n" or "\n\n" in block or block[-1] != "\n":
         # Blank lines take no row; the file's last line may lack its "\n".
@@ -256,9 +238,9 @@ def _json_objects(text: str) -> list[dict]:
     try:
         payload = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too-long ints, deep nesting
-        raise UnreadableInput(f"invalid JSON: {exc}") from exc
+        raise SchemaError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, list) or not all(isinstance(item, dict) for item in payload):
-        raise UnreadableInput("JSON input must be an array of objects")
+        raise SchemaError("JSON input must be an array of objects")
     return payload
 
 
@@ -311,16 +293,12 @@ def _non_string(*named: tuple[str, object]) -> str:
     return next(name for name, value in named if not isinstance(value, str))
 
 
-def parse_records(
-    data: bytes | str | os.PathLike,
-    fmt: str | None = None,
-    source: str = "scopus",
-) -> tuple[DoiMap, list[Reject]]:
-    """Parse one database export into its doi map plus a reject list.
+def parse_records(path: str | os.PathLike, source: str) -> tuple[DoiMap, list[Reject]]:
+    """Parse one database export file into its doi map plus a reject list.
 
-    ``data`` is a path or raw bytes; ``fmt`` is "csv" or "json" (inferred
-    from a path suffix when None). ``source`` is the database tag the file
-    was registered under.
+    ``path`` names a CSV file, or a JSON file when it ends in ".json" in
+    any case; ``source`` is the database tag the file was registered under.
+    Every SchemaError raised reads ``records export PATH (source): ...``.
 
     The accepted records come back as ``{author_key: {doi: citations}}``,
     in order of each author's and each DOI's first accepted row. Rows
@@ -335,81 +313,88 @@ def parse_records(
     accepted: DoiMap = {}
     rejects: list[Reject] = []
     rownums = count(1)
-    for keys, raw_dois, raw_counts, sources in _rows(
-        data, fmt, RECORD_COLUMNS, (*RECORD_COLUMNS, "source")
-    ):
-        dois = _canonical_dois(raw_dois)
-        counts = _parse_citations(raw_counts)
-        # ``rownums`` comes last, so that the end of a block takes no number.
-        for author_key, doi, raw_doi, citations, row_source, rownum in zip(
-            keys, dois, raw_dois, counts, sources, rownums
+    try:
+        for keys, raw_dois, raw_counts, sources in _rows(
+            path, RECORD_COLUMNS, (*RECORD_COLUMNS, "source")
         ):
-            try:
-                author_key = author_key.strip()
-                doi = doi or _canonical_doi(raw_doi)  # "" is left to the per-field rule
-                row_source = row_source.strip()
-            except AttributeError:  # a JSON value that is not UTF-8 text or null
-                field = _non_string(
-                    ("author_key", author_key), ("doi", raw_doi), ("source", row_source)
-                )
-                key = author_key if isinstance(author_key, str) else ""
-                rejects.append(Reject(rownum, key, f"invalid {field}"))
-                continue
-            if not author_key:
-                reason = "missing author_key"
-            elif doi is None:
-                reason = "malformed doi" if raw_doi.strip() else "missing doi"
-            elif citations is None:
-                reason = "invalid citations"
-            elif citations < 0:
-                reason = "negative citations"
-            elif row_source and row_source != source:
-                reason = "source mismatch"
-            else:
-                pubs = accepted.get(author_key)
-                if pubs is None:
-                    pubs = accepted[author_key] = {}
-                prior = pubs.get(doi)
-                if prior is None:
-                    pubs[doi] = citations
+            dois = _canonical_dois(raw_dois)
+            counts = _parse_citations(raw_counts)
+            # ``rownums`` comes last, so that the end of a block takes no number.
+            for author_key, doi, raw_doi, citations, row_source, rownum in zip(
+                keys, dois, raw_dois, counts, sources, rownums
+            ):
+                try:
+                    author_key = author_key.strip()
+                    doi = doi or _canonical_doi(raw_doi)  # "" is left to the per-field rule
+                    row_source = row_source.strip()
+                except AttributeError:  # a JSON value that is not UTF-8 text or null
+                    field = _non_string(
+                        ("author_key", author_key), ("doi", raw_doi), ("source", row_source)
+                    )
+                    key = author_key if isinstance(author_key, str) else ""
+                    rejects.append(Reject(rownum, key, f"invalid {field}"))
                     continue
-                if citations > prior:
-                    pubs[doi] = citations
-                reason = "duplicate doi"
-            rejects.append(Reject(rownum, author_key, reason))
+                if not author_key:
+                    reason = "missing author_key"
+                elif doi is None:
+                    reason = "malformed doi" if raw_doi.strip() else "missing doi"
+                elif citations is None:
+                    reason = "invalid citations"
+                elif citations < 0:
+                    reason = "negative citations"
+                elif row_source and row_source != source:
+                    reason = "source mismatch"
+                else:
+                    pubs = accepted.get(author_key)
+                    if pubs is None:
+                        pubs = accepted[author_key] = {}
+                    prior = pubs.get(doi)
+                    if prior is None:
+                        pubs[doi] = citations
+                        continue
+                    if citations > prior:
+                        pubs[doi] = citations
+                    reason = "duplicate doi"
+                rejects.append(Reject(rownum, author_key, reason))
+    except SchemaError as exc:
+        raise SchemaError(f"records export {path} ({source}): {exc}") from exc
     return accepted, rejects
 
 
-def parse_roster(
-    data: bytes | str | os.PathLike, fmt: str | None = None
-) -> list[RosterEntry]:
-    """Parse the author roster (CSV or JSON array) into roster entries.
+def parse_roster(path: str | os.PathLike) -> list[RosterEntry]:
+    """Parse the author roster file (CSV, or JSON as ``parse_records``) into entries.
 
-    Requires the full roster schema in the header; author_key and
-    discipline must be non-empty strings of UTF-8 text per row, and author
-    keys must be unique.
+    Requires the full roster schema in the header and at least one row;
+    author_key and discipline must be non-empty strings of UTF-8 text per
+    row, and author keys must be unique. Every SchemaError raised reads
+    ``roster PATH: ...``.
     """
     entries: list[RosterEntry] = []
     seen: set[str] = set()
     rownums = count(1)
-    for keys, disciplines in _rows(data, fmt, ROSTER_COLUMNS, ("author_key", "discipline")):
-        for author_key, discipline, rownum in zip(keys, disciplines, rownums):
-            try:
-                author_key = author_key.strip()
-                discipline = discipline.strip()
-            except AttributeError:  # a JSON value that is not UTF-8 text or null
-                field = _non_string(("author_key", author_key), ("discipline", discipline))
-                raise SchemaError(
-                    f"roster row {rownum}: {field} must be a string of UTF-8 text"
-                ) from None
-            if not author_key:
-                raise SchemaError(f"roster row {rownum}: missing author_key")
-            if not discipline:
-                raise SchemaError(f"roster row {rownum}: missing discipline")
-            if author_key in seen:
-                raise SchemaError(f"roster row {rownum}: duplicate author_key {author_key!r}")
-            seen.add(author_key)
-            entries.append(RosterEntry(author_key, discipline))
+    try:
+        for keys, disciplines in _rows(path, ROSTER_COLUMNS, ("author_key", "discipline")):
+            for author_key, discipline, rownum in zip(keys, disciplines, rownums):
+                try:
+                    author_key = author_key.strip()
+                    discipline = discipline.strip()
+                except AttributeError:  # a JSON value that is not UTF-8 text or null
+                    field = _non_string(("author_key", author_key), ("discipline", discipline))
+                    raise SchemaError(
+                        f"roster row {rownum}: {field} must be a string of UTF-8 text"
+                    ) from None
+                if not author_key:
+                    raise SchemaError(f"roster row {rownum}: missing author_key")
+                if not discipline:
+                    raise SchemaError(f"roster row {rownum}: missing discipline")
+                if author_key in seen:
+                    raise SchemaError(f"roster row {rownum}: duplicate author_key {author_key!r}")
+                seen.add(author_key)
+                entries.append(RosterEntry(author_key, discipline))
+        if not entries:
+            raise SchemaError("empty roster")
+    except SchemaError as exc:
+        raise SchemaError(f"roster {path}: {exc}") from exc
     return entries
 
 

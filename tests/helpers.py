@@ -1,6 +1,7 @@
 """Helpers shared by several test modules."""
 
 import csv
+import tempfile
 from pathlib import Path
 from typing import Iterable
 
@@ -16,6 +17,16 @@ def read_csv(path: Path | str) -> tuple[list[str], list[list[str]]]:
         reader = csv.reader(fh)
         header = next(reader)
         return header, [row for row in reader]
+
+
+def input_file(directory: Path | str, data: bytes, suffix: str) -> Path:
+    """A new file in ``directory`` that holds ``data``, its name ending in ``suffix``.
+
+    The parsers read only files, and a ".json" suffix makes one read JSON.
+    """
+    with tempfile.NamedTemporaryFile(dir=directory, suffix=suffix, delete=False) as fh:
+        fh.write(data)
+    return Path(fh.name)
 
 
 def cohort_from_profiles(

@@ -111,7 +111,9 @@ def test_empty_roster_exits_2(tmp_path, capsys):
         "author_key,orcid,researcher_id,scopus_id,discipline,display_name\n"
     )
     assert main(["index", *args_for(data, tmp_path / "out")]) == 2
-    assert "empty roster" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"scimetrics: SchemaError: roster {data / 'roster.csv'}: empty roster\n"
+    )
 
 
 def test_empty_export_exits_2(tmp_path, capsys):
@@ -140,7 +142,55 @@ def test_blank_roster_author_key_exits_2(tmp_path, capsys):
     lines[2] = " " + lines[2][len("a2"):]
     (data / "roster.csv").write_text("\n".join(lines) + "\n")
     assert main(["index", *args_for(data, tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == "scimetrics: SchemaError: roster row 2: missing author_key\n"
+    assert capsys.readouterr().err == (
+        f"scimetrics: SchemaError: roster {data / 'roster.csv'}: roster row 2: missing author_key\n"
+    )
+
+
+ROSTER_HEADER = b"author_key,orcid,researcher_id,scopus_id,discipline,display_name\n"
+BAD_ROSTERS = {
+    "missing_column": (
+        "roster.csv",
+        b"author_key,discipline\na1,casebook\n",
+        "missing required column(s): orcid, researcher_id, scopus_id, display_name",
+    ),
+    "bad_utf8": (
+        "roster.csv",
+        ROSTER_HEADER + b"a1,,,,casebook,\na2,,,,casebook,\xff\n",
+        "input is not valid UTF-8 at line 3: invalid start byte",
+    ),
+    "invalid_json": (
+        "roster.JSON",
+        b'[{"author_key": "a1",]',
+        "invalid JSON: Expecting property name enclosed in double quotes:"
+        " line 1 column 22 (char 21)",
+    ),
+    "blank_key": (
+        "roster.csv",
+        ROSTER_HEADER + b"a1,,,,casebook,\n ,,,,casebook,\n",
+        "roster row 2: missing author_key",
+    ),
+    "duplicate_key": (
+        "roster.csv",
+        ROSTER_HEADER + b"a1,,,,casebook,\na1,,,,casebook,\n",
+        "roster row 2: duplicate author_key 'a1'",
+    ),
+    "header_only": ("roster.csv", ROSTER_HEADER, "empty roster"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ROSTERS))
+def test_every_roster_diagnostic_names_the_roster_once(case, tmp_path, capsys):
+    data = write_golden_fixture(tmp_path)
+    name, content, message = BAD_ROSTERS[case]
+    roster = data / name
+    roster.write_bytes(content)
+    args = args_for(data, tmp_path / "out")
+    args[args.index("--roster") + 1] = str(roster)
+    assert main(["index", *args]) == 2
+    err = capsys.readouterr().err
+    assert err == f"scimetrics: SchemaError: roster {roster}: {message}\n"
+    assert err.count(str(roster)) == 1
 
 
 @pytest.mark.parametrize(
@@ -291,7 +341,8 @@ def test_lone_surrogate_author_key_in_json_inputs_exits_2(tmp_path, capsys):
     assert main(["index", *args]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err[0] == (
-        "scimetrics: SchemaError: roster row 1: author_key must be a string of UTF-8 text"
+        f"scimetrics: SchemaError: roster {tmp_path / 'roster.json'}: roster row 1:"
+        " author_key must be a string of UTF-8 text"
     )
     assert [line for line in err if "reject report" not in line] == err[:1]
     for tag in ("scopus", "wos"):

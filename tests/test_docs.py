@@ -2,6 +2,7 @@
 
 import argparse
 import importlib.util
+import inspect
 import json
 import re
 import types
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import scimetrics
 from scimetrics.cli import SETTINGS, build_parser, main
+from scimetrics.ingest import parse_records, parse_roster
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -65,6 +67,13 @@ def test_python_api_lists_the_package_exports():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(re.findall(r"`(\w+)`", sentence)) == exported
+
+
+def test_python_api_writes_the_parser_signatures():
+    section = readme_section("Python API")
+    for parse in (parse_records, parse_roster):
+        written = re.findall(rf"`{parse.__name__}\(([^)`]*)\)`", section)
+        assert written == [", ".join(inspect.signature(parse).parameters)]
 
 
 def test_output_files_sentence_names_every_report(tmp_path, capsys):

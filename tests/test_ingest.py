@@ -2,6 +2,7 @@
 
 import json
 import re
+import tempfile
 from collections import Counter
 
 import pytest
@@ -20,6 +21,8 @@ from scimetrics.ingest import (
     parse_roster,
     profile_to_citations,
 )
+
+from helpers import input_file
 
 DB_TAGS = ("scopus", "wos")
 
@@ -83,9 +86,9 @@ def test_normalize_doi_rejects_bad_shapes(raw):
         normalize_doi(raw)
 
 
-def test_doi_with_control_or_space_is_rejected_as_malformed():
+def test_doi_with_control_or_space_is_rejected_as_malformed(tmp_path):
     data = b"author_key,doi,citations\na1,10.1/a\x00b,3\na1,10.1/a b,4\na1,10.1/\xc3\xa9,5\n"
-    accepted, rejects = parse_records(data, "csv", "scopus")
+    accepted, rejects = parse_records(input_file(tmp_path, data, ".csv"), "scopus")
     assert accepted == {"a1": {"10.1/é": 5}}
     assert [(r.row, r.reason) for r in rejects] == [(1, "malformed doi"), (2, "malformed doi")]
 
@@ -220,7 +223,7 @@ def test_parse_citations_agrees_with_previous_implementation(value):
 # parse_records
 # ---------------------------------------------------------------------------
 
-def test_missing_doi_rejected_with_row_number():
+def test_missing_doi_rejected_with_row_number(tmp_path):
     data = records_csv(
         [
             ("a1", "10.1/x", 5, "scopus"),
@@ -228,22 +231,17 @@ def test_missing_doi_rejected_with_row_number():
             ("a2", "10.1/y", 0, "scopus"),
         ]
     )
-    accepted, rejects = parse_records(data, "csv", "scopus")
+    accepted, rejects = parse_records(input_file(tmp_path, data, ".csv"), "scopus")
     assert len(pairs(accepted)) == 2
     assert [(r.row, r.reason) for r in rejects] == [(2, "missing doi")]
 
 
-def test_empty_file_with_header():
-    accepted, rejects = parse_records(records_csv([]), "csv", "scopus")
+def test_empty_file_with_header(tmp_path):
+    accepted, rejects = parse_records(input_file(tmp_path, records_csv([]), ".csv"), "scopus")
     assert accepted == {} and rejects == []
 
 
-def test_unsupported_format_is_schema_error():
-    with pytest.raises(SchemaError, match="^unsupported format 'xml'$"):
-        parse_records(records_csv([]), fmt="xml")
-
-
-def test_duplicate_rows_collapse_to_max():
+def test_duplicate_rows_collapse_to_max(tmp_path):
     data = records_csv(
         [
             ("a1", "10.1/x", 5, "scopus"),
@@ -253,7 +251,7 @@ def test_duplicate_rows_collapse_to_max():
             ("a1", "10.1/x", 4, "scopus"),
         ]
     )
-    accepted, rejects = parse_records(data, "csv", "scopus")
+    accepted, rejects = parse_records(input_file(tmp_path, data, ".csv"), "scopus")
     assert len(pairs(accepted)) + len(rejects) == 5
     assert [(r.row, r.reason) for r in rejects] == [
         (3, "duplicate doi"),
@@ -262,7 +260,7 @@ def test_duplicate_rows_collapse_to_max():
     assert pairs(accepted) == {("a1", "10.1/x"): 9, ("a1", "10.1/y"): 1, ("a2", "10.1/x"): 2}
 
 
-def test_reject_reasons():
+def test_reject_reasons(tmp_path):
     data = records_csv(
         [
             ("", "10.1/x", 5, "scopus"),
@@ -272,7 +270,7 @@ def test_reject_reasons():
             ("a1", "10.1/z", 5, "wos"),
         ]
     )
-    accepted, rejects = parse_records(data, "csv", "scopus")
+    accepted, rejects = parse_records(input_file(tmp_path, data, ".csv"), "scopus")
     assert accepted == {}
     assert [r.reason for r in rejects] == [
         "missing author_key",
@@ -283,7 +281,7 @@ def test_reject_reasons():
     ]
 
 
-def test_citation_strings_must_be_ascii_digits():
+def test_citation_strings_must_be_ascii_digits(tmp_path):
     data = records_csv(
         [
             ("a1", "10.1/a", "\u0663", "scopus"),  # Arabic-Indic three
@@ -295,7 +293,7 @@ def test_citation_strings_must_be_ascii_digits():
             ("a1", "10.1/g", str(2**63), "scopus"),  # past the documented bound
         ]
     )
-    accepted, rejects = parse_records(data, "csv", "scopus")
+    accepted, rejects = parse_records(input_file(tmp_path, data, ".csv"), "scopus")
     assert accepted == {"a1": {"10.1/c": 7, "10.1/f": 2**63 - 1}}
     assert [r.reason for r in rejects] == [
         "invalid citations",
@@ -309,18 +307,18 @@ def test_citation_strings_must_be_ascii_digits():
 # CSV row semantics: stated through reject reasons and row numbers only, so
 # they hold whatever shape the accepted records take.
 
-def test_blank_line_is_skipped_and_takes_no_row_number():
+def test_blank_line_is_skipped_and_takes_no_row_number(tmp_path):
     data = b"author_key,doi,citations\na1,,5\n\na2,,5\n\n"
-    _, rejects = parse_records(data, "csv", "scopus")
+    _, rejects = parse_records(input_file(tmp_path, data, ".csv"), "scopus")
     assert [(r.row, r.author_key, r.reason) for r in rejects] == [
         (1, "a1", "missing doi"),
         (2, "a2", "missing doi"),
     ]
 
 
-def test_short_row_reads_missing_fields_as_empty():
+def test_short_row_reads_missing_fields_as_empty(tmp_path):
     data = b"author_key,doi,citations\na1,10.1/x\na2\na3,10.1/y,\n"
-    _, rejects = parse_records(data, "csv", "scopus")
+    _, rejects = parse_records(input_file(tmp_path, data, ".csv"), "scopus")
     assert [(r.row, r.reason) for r in rejects] == [
         (1, "invalid citations"),
         (2, "missing doi"),
@@ -328,48 +326,49 @@ def test_short_row_reads_missing_fields_as_empty():
     ]
 
 
-def test_extra_fields_are_ignored():
+def test_extra_fields_are_ignored(tmp_path):
     data = b"author_key,doi,citations\na1,10.1/x,5,wos,-1\na1,10.1/y,2,,junk\n"
-    _, rejects = parse_records(data, "csv", "scopus")
+    _, rejects = parse_records(input_file(tmp_path, data, ".csv"), "scopus")
     assert rejects == []
 
 
-def test_repeated_header_column_last_one_wins():
+def test_repeated_header_column_last_one_wins(tmp_path):
     data = b"author_key,citations,doi,citations\na1,-1,10.1/x,5\na1,5,10.1/y,-1\n"
-    _, rejects = parse_records(data, "csv", "scopus")
+    _, rejects = parse_records(input_file(tmp_path, data, ".csv"), "scopus")
     assert [(r.row, r.reason) for r in rejects] == [(2, "negative citations")]
 
 
-def test_missing_optional_source_column_is_accepted():
+def test_missing_optional_source_column_is_accepted(tmp_path):
     data = b"doi,citations,author_key\n10.1/x,5,a1\n10.1/y,0,a1\n"
-    _, rejects = parse_records(data, "csv", "wos")
+    _, rejects = parse_records(input_file(tmp_path, data, ".csv"), "wos")
     assert rejects == []
 
 
-def test_field_over_csv_size_limit_is_schema_error():
+def test_field_over_csv_size_limit_is_schema_error(tmp_path):
     data = b"author_key,doi,citations\na1,10.1/" + b"x" * 140_000 + b",5\n"
     with pytest.raises(SchemaError, match="invalid CSV"):
-        parse_records(data, "csv", "scopus")
+        parse_records(input_file(tmp_path, data, ".csv"), "scopus")
 
 
-def test_missing_column_aborts():
+def test_missing_column_aborts(tmp_path):
     data = b"author_key,citations\na1,5\n"
     with pytest.raises(SchemaError):
-        parse_records(data, "csv", "scopus")
+        parse_records(input_file(tmp_path, data, ".csv"), "scopus")
 
 
-def test_non_utf8_aborts():
+def test_non_utf8_aborts(tmp_path):
     with pytest.raises(SchemaError):
-        parse_records(b"\xff\xfe\x00bad", "csv", "scopus")
+        parse_records(input_file(tmp_path, b"\xff\xfe\x00bad", ".csv"), "scopus")
 
 
-def test_json_records_mirror_csv():
+def test_json_records_mirror_csv(tmp_path):
     payload = [
         {"author_key": "a1", "doi": "10.1/x", "citations": 5, "source": "scopus"},
         {"author_key": "a1", "doi": "https://doi.org/10.1/Y", "citations": 2},
         {"author_key": "a2", "citations": 2},
     ]
-    accepted, rejects = parse_records(json.dumps(payload).encode(), "json", "scopus")
+    path = input_file(tmp_path, json.dumps(payload).encode(), ".json")
+    accepted, rejects = parse_records(path, "scopus")
     assert accepted == {"a1": {"10.1/x": 5, "10.1/y": 2}}
     assert [(r.row, r.reason) for r in rejects] == [(3, "missing doi")]
 
@@ -387,22 +386,23 @@ def test_json_records_mirror_csv():
         ("citations", "5\ud800"),
     ],
 )
-def test_json_export_value_of_wrong_type_is_rejected(field, value):
+def test_json_export_value_of_wrong_type_is_rejected(field, value, tmp_path):
     row = {"author_key": "a1", "doi": "10.1/x", "citations": 5, "source": "scopus"}
     row[field] = value
     payload = [{"author_key": "a2", "doi": "10.1/y", "citations": 1}, row]
-    accepted, rejects = parse_records(json.dumps(payload).encode(), "json", "scopus")
+    path = input_file(tmp_path, json.dumps(payload).encode(), ".json")
+    accepted, rejects = parse_records(path, "scopus")
     assert accepted == {"a2": {"10.1/y": 1}}
     key = "" if field == "author_key" else "a1"
     assert rejects == [(2, key, f"invalid {field}")]
 
 
-def test_json_field_priority_holds_for_lone_surrogates():
+def test_json_field_priority_holds_for_lone_surrogates(tmp_path):
     row = {"author_key": "\ud800", "doi": "10.1/\ud800", "citations": "x", "source": 3}
-    _, rejects = parse_records(json.dumps([row]).encode(), "json", "scopus")
+    _, rejects = parse_records(input_file(tmp_path, json.dumps([row]).encode(), ".json"), "scopus")
     assert rejects == [(1, "", "invalid author_key")]
     row["author_key"] = "a1"
-    _, rejects = parse_records(json.dumps([row]).encode(), "json", "scopus")
+    _, rejects = parse_records(input_file(tmp_path, json.dumps([row]).encode(), ".json"), "scopus")
     assert rejects == [(1, "a1", "invalid doi")]
 
 
@@ -415,64 +415,73 @@ def test_json_field_priority_holds_for_lone_surrogates():
         ("discipline", "b\udfff"),
     ],
 )
-def test_json_roster_value_of_wrong_type_is_schema_error(field, value):
+def test_json_roster_value_of_wrong_type_is_schema_error(field, value, tmp_path):
     row = dict.fromkeys(("author_key", "orcid", "researcher_id", "scopus_id"), "")
     row.update(author_key="a2", discipline="bio", display_name="")
     bad = {**row, "author_key": "a1", field: value}
     with pytest.raises(SchemaError, match=f"roster row 2: {field} must be a string"):
-        parse_roster(json.dumps([row, bad]).encode(), "json")
+        parse_roster(input_file(tmp_path, json.dumps([row, bad]).encode(), ".json"))
+
+
+def parse_error(path, kind: str) -> str:
+    """The SchemaError text of parsing the export at ``path``, given as a ``kind`` path."""
+    with pytest.raises(SchemaError) as raised:
+        parse_records(str(path) if kind == "str" else path, "scopus")
+    return str(raised.value)
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
-@pytest.mark.parametrize("kind", ["bytes", "path"])
+@pytest.mark.parametrize("kind", ["str", "path"])
 def test_invalid_utf8_mid_file_names_its_line(kind, newline, tmp_path):
     rows = [("a1", f"10.1/x{i}", 5, "scopus") for i in range(3000)]  # several read chunks
     data = records_csv(rows).replace(b"\n", newline.encode())
     data += b"a2,10.1/\xff,5" + newline.encode()
-    if kind == "path":
-        (tmp_path / "records.csv").write_bytes(data)
-        data = tmp_path / "records.csv"
-    with pytest.raises(SchemaError, match="not valid UTF-8 at line 3002:"):
-        parse_records(data, "csv", "scopus")
+    path = input_file(tmp_path, data, ".csv")
+    assert parse_error(path, kind).startswith(
+        f"records export {path} (scopus): input is not valid UTF-8 at line 3002:"
+    )
 
 
-@pytest.mark.parametrize("kind", ["bytes", "path"])
+@pytest.mark.parametrize("kind", ["str", "path"])
 def test_invalid_utf8_past_line_1_of_a_bom_prefixed_export_names_its_line(kind, tmp_path):
     # The line is counted from the file's first byte, the BOM included.
     data = b"\xef\xbb\xbf" + records_csv([("a1", "10.1/x", 5, "scopus")])
     data += b"a2,10.1/\xff,5,scopus\n"
-    if kind == "path":
-        (tmp_path / "records.csv").write_bytes(data)
-        data = tmp_path / "records.csv"
-    with pytest.raises(SchemaError, match="^input is not valid UTF-8 at line 3:"):
-        parse_records(data, "csv", "scopus")
+    path = input_file(tmp_path, data, ".csv")
+    assert parse_error(path, kind).startswith(
+        f"records export {path} (scopus): input is not valid UTF-8 at line 3:"
+    )
 
 
-def test_json_must_be_array_of_objects():
+def test_json_must_be_array_of_objects(tmp_path):
     with pytest.raises(SchemaError):
-        parse_records(b'{"author_key": "a1"}', "json", "scopus")
+        parse_records(input_file(tmp_path, b'{"author_key": "a1"}', ".json"), "scopus")
     with pytest.raises(SchemaError):
-        parse_records(b"[1, 2]", "json", "scopus")
+        parse_records(input_file(tmp_path, b"[1, 2]", ".json"), "scopus")
     with pytest.raises(SchemaError):
-        parse_records(b"not json", "json", "scopus")
+        parse_records(input_file(tmp_path, b"not json", ".json"), "scopus")
 
 
 def test_parse_from_path(tmp_path):
     path = tmp_path / "records.csv"
     path.write_bytes(records_csv([("a1", "10.1/x", 5, "scopus")]))
-    accepted, rejects = parse_records(path, None, "scopus")
+    accepted, rejects = parse_records(path, "scopus")
     assert len(accepted) == 1 and not rejects
+    assert parse_records(str(path), "scopus") == (accepted, rejects)
     json_path = tmp_path / "records.json"
     json_path.write_text(json.dumps([{"author_key": "a1", "doi": "10.1/x", "citations": 1}]))
-    accepted, _ = parse_records(json_path, None, "scopus")
+    accepted, _ = parse_records(json_path, "scopus")
     assert accepted == {"a1": {"10.1/x": 1}}
+    # A ".json" suffix in any case reads JSON.
+    assert parse_records(json_path.rename(tmp_path / "records.Json"), "scopus") == (accepted, [])
 
 
-def test_parse_is_deterministic():
+def test_parse_is_deterministic(tmp_path):
     data = records_csv(
         [("a1", "10.1/x", 5, "scopus"), ("a1", "", 1, "scopus"), ("a1", "10.1/x", 7, "scopus")]
     )
-    assert parse_records(data, "csv", "scopus") == parse_records(data, "csv", "scopus")
+    path = input_file(tmp_path, data, ".csv")
+    assert parse_records(path, "scopus") == parse_records(path, "scopus")
 
 
 rows_strategy = st.lists(
@@ -488,7 +497,9 @@ rows_strategy = st.lists(
 
 @given(rows_strategy)
 def test_conservation(rows):
-    accepted, rejects = parse_records(records_csv(rows), "csv", "scopus")
+    with tempfile.TemporaryDirectory() as directory:
+        path = input_file(directory, records_csv(rows), ".csv")
+        accepted, rejects = parse_records(path, "scopus")
     assert len(pairs(accepted)) + len(rejects) == len(rows)
 
 
@@ -496,28 +507,33 @@ def test_conservation(rows):
 # roster and profiles
 # ---------------------------------------------------------------------------
 
-def test_parse_roster():
+def test_parse_roster(tmp_path):
     data = roster_csv(
         [
             ("a1", "0000-0001", "R-1", "7001", "physics", "Author One"),
             ("a2", "", "", "", "physics", "Author Two"),
         ]
     )
-    roster = parse_roster(data)
+    roster = parse_roster(input_file(tmp_path, data, ".csv"))
     assert roster == [RosterEntry("a1", "physics"), RosterEntry("a2", "physics")]
 
 
-def test_roster_schema_errors():
+def test_roster_schema_errors(tmp_path):
+    missing_columns = b"author_key,discipline\na1,physics\n"
     with pytest.raises(SchemaError):
-        parse_roster(b"author_key,discipline\na1,physics\n")  # missing columns
+        parse_roster(input_file(tmp_path, missing_columns, ".csv"))
     dup = roster_csv(
         [("a1", "", "", "", "physics", ""), ("a1", "", "", "", "physics", "")]
     )
     with pytest.raises(SchemaError):
-        parse_roster(dup)
+        parse_roster(input_file(tmp_path, dup, ".csv"))
     blank = roster_csv([("a1", "", "", "", "", "")])
     with pytest.raises(SchemaError):
-        parse_roster(blank)
+        parse_roster(input_file(tmp_path, blank, ".csv"))
+    header_only = input_file(tmp_path, roster_csv([]), ".csv")
+    with pytest.raises(SchemaError) as raised:
+        parse_roster(header_only)
+    assert str(raised.value) == f"roster {header_only}: empty roster"
 
 
 def _roster():

@@ -3,15 +3,21 @@
 The oracle below is the previous row source and the previous per-row loops
 of ``parse_records`` and ``parse_roster``, kept as they were apart from two
 calls into the rules they share with the chunked code: ``_json_field`` for
-a JSON value and ``_parse_citations`` on a one-value column per row. Inputs
-sit on both sides of the chunk edges at ``CHUNK_ROWS`` and twice that, and
-of the edges between the ``BLOCK``-character blocks that CSV text is read in.
+a JSON value and ``_parse_citations`` on a one-value column per row. It
+reads the whole file as bytes, and names the file in its diagnostics as
+the parsers do. Inputs sit on both sides of the chunk edges at
+``CHUNK_ROWS`` and twice that, and of the edges between the
+``BLOCK``-character blocks that CSV text is read in.
 """
 
+import contextlib
 import csv
 import io
 import json
+import re
+import tempfile
 from operator import itemgetter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,12 +35,14 @@ from scimetrics.ingest import (
     parse_roster,
 )
 
+from helpers import input_file
+
 SIZES = (1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1)
 
 
-def oracle_rows(data, fmt, required, fields):
-    json_input = ingest._infer_format(data, fmt) == "json"
-    binary = io.BytesIO(data) if isinstance(data, bytes) else open(data, "rb")
+def oracle_rows(path, required, fields):
+    json_input = str(path).lower().endswith(".json")
+    binary = io.BytesIO(Path(path).read_bytes())
     with io.TextIOWrapper(binary, encoding="utf-8-sig", newline="") as text:
         try:
             if json_input:
@@ -69,10 +77,24 @@ def oracle_csv_rows(text, required, fields):
         raise SchemaError(f"invalid CSV at line {reader.line_num}: {exc}") from exc
 
 
-def oracle_parse_records(data, fmt=None, source="scopus"):
+@contextlib.contextmanager
+def naming(role):
+    """Prefixes the text of a SchemaError raised in the block with ``role``."""
+    try:
+        yield
+    except SchemaError as exc:
+        raise SchemaError(f"{role}: {exc}") from exc
+
+
+def oracle_parse_records(path, source):
+    with naming(f"records export {path} ({source})"):
+        return oracle_records(path, source)
+
+
+def oracle_records(path, source):
     accepted = {}
     rejects = []
-    rows = oracle_rows(data, fmt, RECORD_COLUMNS, (*RECORD_COLUMNS, "source"))
+    rows = oracle_rows(path, RECORD_COLUMNS, (*RECORD_COLUMNS, "source"))
     for rownum, (author_key, raw_doi, raw_citations, row_source) in enumerate(rows, 1):
         try:
             author_key = author_key.strip()
@@ -111,10 +133,15 @@ def oracle_parse_records(data, fmt=None, source="scopus"):
     return accepted, rejects
 
 
-def oracle_parse_roster(data, fmt=None):
+def oracle_parse_roster(path):
+    with naming(f"roster {path}"):
+        return oracle_roster(path)
+
+
+def oracle_roster(path):
     entries = []
     seen = set()
-    rows = oracle_rows(data, fmt, ROSTER_COLUMNS, ("author_key", "discipline"))
+    rows = oracle_rows(path, ROSTER_COLUMNS, ("author_key", "discipline"))
     for rownum, (author_key, discipline) in enumerate(rows, 1):
         try:
             author_key = author_key.strip()
@@ -132,6 +159,8 @@ def oracle_parse_roster(data, fmt=None):
             raise SchemaError(f"roster row {rownum}: duplicate author_key {author_key!r}")
         seen.add(author_key)
         entries.append(RosterEntry(author_key, discipline))
+    if not entries:
+        raise SchemaError("empty roster")
     return entries
 
 
@@ -196,10 +225,10 @@ def in_order(accepted):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("n", SIZES)
-def test_chunked_records_equal_the_per_row_loop(n, fmt):
-    data = encode(record_rows(n), fmt)
-    accepted, rejects = parse_records(data, fmt, "scopus")
-    want_accepted, want_rejects = oracle_parse_records(data, fmt, "scopus")
+def test_chunked_records_equal_the_per_row_loop(n, fmt, tmp_path):
+    path = input_file(tmp_path, encode(record_rows(n), fmt), f".{fmt}")
+    accepted, rejects = parse_records(path, "scopus")
+    want_accepted, want_rejects = oracle_parse_records(path, "scopus")
     assert in_order(accepted) == in_order(want_accepted)
     assert rejects == want_rejects
     assert len(rejects) + sum(map(len, accepted.values())) == n
@@ -207,15 +236,15 @@ def test_chunked_records_equal_the_per_row_loop(n, fmt):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("n", SIZES)
-def test_chunked_roster_equals_the_per_row_loop(n, fmt):
-    data = encode(roster_rows(n), fmt)
-    assert parse_roster(data, fmt) == oracle_parse_roster(data, fmt)
+def test_chunked_roster_equals_the_per_row_loop(n, fmt, tmp_path):
+    path = input_file(tmp_path, encode(roster_rows(n), fmt), f".{fmt}")
+    assert parse_roster(path) == oracle_parse_roster(path)
 
 
-def test_blank_lines_at_chunk_edges_take_no_row_number():
+def test_blank_lines_at_chunk_edges_take_no_row_number(tmp_path):
     rows = record_rows(2 * CHUNK_ROWS + 1)
-    _, rejects = parse_records(encode(rows, "csv"), "csv", "scopus")
-    _, plain = parse_records(as_csv(rows), "csv", "scopus")
+    _, rejects = parse_records(input_file(tmp_path, encode(rows, "csv"), ".csv"), "scopus")
+    _, plain = parse_records(input_file(tmp_path, as_csv(rows), ".csv"), "scopus")
     assert rejects == plain
 
 
@@ -228,14 +257,14 @@ def test_blank_lines_at_chunk_edges_take_no_row_number():
     ],
 )
 @pytest.mark.parametrize("row", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
-def test_roster_error_at_a_chunk_edge_names_the_same_row(edit, row):
+def test_roster_error_at_a_chunk_edge_names_the_same_row(edit, row, tmp_path):
     rows = roster_rows(2 * CHUNK_ROWS)
     rows[row] = {**rows[row], **edit}
-    data = json.dumps(rows).encode()
+    path = input_file(tmp_path, json.dumps(rows).encode(), ".json")
     with pytest.raises(SchemaError) as got:
-        parse_roster(data, "json")
+        parse_roster(path)
     with pytest.raises(SchemaError) as want:
-        oracle_parse_roster(data, "json")
+        oracle_parse_roster(path)
     assert str(got.value) == str(want.value)
     assert f"roster row {row + 1}:" in str(got.value)
 
@@ -245,17 +274,18 @@ def test_roster_error_at_a_chunk_edge_names_the_same_row(edit, row):
     [b"a2,10.1/\xff,5\n", b"a2,10.1/" + b"x" * 140_000 + b",5\n"],
     ids=["not-utf8", "over-field-limit"],
 )
-def test_bad_first_row_of_the_second_chunk_gives_the_same_diagnostic(bad_row):
+def test_bad_first_row_of_the_second_chunk_gives_the_same_diagnostic(bad_row, tmp_path):
     data = as_csv(record_rows(CHUNK_ROWS)).rstrip(b"\n") + b"\n" + bad_row
+    path = input_file(tmp_path, data, ".csv")
     with pytest.raises(SchemaError) as got:
-        parse_records(data, "csv", "scopus")
+        parse_records(path, "scopus")
     with pytest.raises(SchemaError) as want:
-        oracle_parse_records(data, "csv", "scopus")
+        oracle_parse_records(path, "scopus")
     assert str(got.value) == str(want.value)
     assert f"line {CHUNK_ROWS + 2}" in str(got.value)
 
 
-def test_counts_are_parsed_once_per_chunk(monkeypatch):
+def test_counts_are_parsed_once_per_chunk(monkeypatch, tmp_path):
     calls = []
     parse_citations = ingest._parse_citations
 
@@ -265,10 +295,11 @@ def test_counts_are_parsed_once_per_chunk(monkeypatch):
 
     monkeypatch.setattr(ingest, "_parse_citations", counted)
     rows = record_rows(2 * CHUNK_ROWS + 1)
-    accepted, rejects = parse_records(as_csv(rows), "csv", "scopus")
+    path = input_file(tmp_path, as_csv(rows), ".csv")
+    accepted, rejects = parse_records(path, "scopus")
     assert len(calls) <= 3 and sum(calls) == len(rows)
     monkeypatch.undo()
-    assert (accepted, rejects) == oracle_parse_records(as_csv(rows), "csv", "scopus")
+    assert (accepted, rejects) == oracle_parse_records(path, "scopus")
 
 
 # CSV text is read ``BLOCK`` characters at a time after the header line. Each
@@ -296,10 +327,10 @@ def at_block_edge(before, after, newline="\n"):
     return HEADER.replace("\n", newline) + rows + before + after + tail
 
 
-def outcome(parse, data):
-    """What ``parse`` returns for ``data``, or the text of the SchemaError it raises."""
+def outcome(parse, path):
+    """What ``parse`` returns for ``path``, or the text of the SchemaError it raises."""
     try:
-        accepted, rejects = parse(data, "csv")
+        accepted, rejects = parse(path, "scopus")
     except SchemaError as exc:
         return "raises", str(exc)
     return in_order(accepted), rejects
@@ -307,8 +338,10 @@ def outcome(parse, data):
 
 def assert_like_the_oracle(text):
     data = text.encode() if isinstance(text, str) else text
-    got = outcome(parse_records, data)
-    want = outcome(oracle_parse_records, data)
+    with tempfile.TemporaryDirectory() as directory:
+        path = input_file(directory, data, ".csv")
+        got = outcome(parse_records, path)
+        want = outcome(oracle_parse_records, path)
     assert got == want
     return got
 
@@ -366,11 +399,12 @@ def test_bom_prefixed_export_over_several_blocks(newline):
     assert accepted[0][0] == "a0"
 
 
-def test_roster_over_several_blocks_with_crlf_and_a_quoted_tail():
+def test_roster_over_several_blocks_with_crlf_and_a_quoted_tail(tmp_path):
     rows = roster_rows(3 * ingest.BLOCK // 40)
     text = as_csv(rows).decode().replace("\n", "\r\n")
     text += '"a_last","","","","d1",""\r\n'
-    assert parse_roster(text.encode(), "csv") == oracle_parse_roster(text.encode(), "csv")
+    path = input_file(tmp_path, text.encode(), ".csv")
+    assert parse_roster(path) == oracle_parse_roster(path)
 
 
 PLAIN_EXPORTS = {
@@ -460,10 +494,11 @@ def test_a_column_with_a_line_break_is_left_to_the_per_field_rule(column):
 
 
 @pytest.mark.parametrize("doi", [" " * 10**6 + "x", "10." + "1" * 10**6 + " x"])
-def test_a_hostile_doi_cell_is_rejected_in_linear_time(doi):
+def test_a_hostile_doi_cell_is_rejected_in_linear_time(doi, tmp_path):
     assert ingest._canonical_dois(["10.1/a", doi, ""]) == ["10.1/a", "", ""]
     payload = [{"author_key": "a1", "doi": doi, "citations": 1}]
-    assert parse_records(json.dumps(payload).encode(), "json") == ({}, [(1, "a1", "malformed doi")])
+    path = input_file(tmp_path, json.dumps(payload).encode(), ".json")
+    assert parse_records(path, "scopus") == ({}, [(1, "a1", "malformed doi")])
     limit = csv.field_size_limit(2 * 10**6)
     try:
         data = (HEADER + plain_rows(3) + f"a1,{doi},1,\n").encode()
@@ -487,9 +522,11 @@ class CountedReads(io.StringIO):
         return super().readline(size)
 
 
-def test_a_10_mb_line_is_read_in_one_piece_and_is_invalid_csv_at_line_2():
-    with pytest.raises(SchemaError, match=r"^invalid CSV at line 2: field larger than"):
-        parse_records(HEADER.encode() + b"x" * 10**7, "csv")
+def test_a_10_mb_line_is_read_in_one_piece_and_is_invalid_csv_at_line_2(tmp_path):
+    path = input_file(tmp_path, HEADER.encode() + b"x" * 10**7, ".csv")
+    prefix = re.escape(f"records export {path} (scopus): ")
+    with pytest.raises(SchemaError, match=rf"^{prefix}invalid CSV at line 2: field larger than"):
+        parse_records(path, "scopus")
     text = CountedReads(HEADER + "x" * 10**7, newline="")
     with pytest.raises(SchemaError, match=r"^invalid CSV at line 2:"):
         list(ingest._csv_columns(text, RECORD_COLUMNS, RECORD_COLUMNS))
