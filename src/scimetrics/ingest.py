@@ -25,13 +25,12 @@ from .indices import CitationProfile
 # DOI (ASCII digits after "10.", then a suffix with no whitespace and no
 # control character: C0, DEL or C1), then blanks. Group 1 is the DOI, or
 # None ("" in a findall) when the field is not one. Blank runs stop at "\n",
-# so one findall canonicalizes every line of a "\n"-joined column. No two
-# runs can take the same character, so a hostile line backtracks in linear time.
-_DOI = re.compile(
-    r"^(?:[^\S\n]*(?:(?:https?://doi\.org/|doi:)[^\S\n]*)?"
-    r"(10\.[0-9]+/[^\s\x00-\x1f\x7f-\x9f]+)[^\S\n]*$)?.*$",
-    re.MULTILINE,
-)
+# so one findall canonicalizes every line of a "\n"-joined column. Every run
+# is possessive, so a hostile line is rejected in linear time. ``_DOI_ASCII``
+# is the same rule for ASCII text, its classes written as ASCII ranges.
+_DOI_RULE = r"^(?:{0}*+(?:(?:https?://doi\.org/|doi:){0}*+)?(10\.[0-9]++/{1}++){0}*+$)?.*$"
+_DOI = re.compile(_DOI_RULE.format(r"[^\S\n]", r"[^\s\x00-\x1f\x7f-\x9f]"), re.MULTILINE)
+_DOI_ASCII = re.compile(_DOI_RULE.format(r"[ \t\x0b-\r\x1c-\x1f]", "[!-~]"), re.MULTILINE)
 _CITATIONS_SHAPE = re.compile(r"-?[0-9]+")
 # The largest accepted citation count, the largest signed 64-bit value: a
 # count above it is rejected, so every total stays far below the interpreter's
@@ -103,7 +102,7 @@ def _canonical_dois(fields: Sequence) -> list[str]:
         return [""] * len(fields)
     if text.count("\n") >= len(fields):  # a field holds "\n", or there is none
         return [""] * len(fields)
-    return _DOI.findall(text)
+    return (_DOI_ASCII if text.isascii() else _DOI).findall(text)
 
 
 def normalize_doi(raw: str) -> str:
@@ -267,7 +266,16 @@ def _parse_citations(values: list) -> list[int | None]:
     after stripping whitespace: no other scripts' digits, no underscores.
     A bool is rejected.
     """
-    counts: list[int | None] = []
+    try:
+        text = "".join(values)
+        # On ASCII text with no "+" or "_", int() takes exactly the rule's text.
+        if text.isascii() and "+" not in text and "_" not in text:
+            counts = list(map(int, values))
+            if max(counts, default=0) <= MAX_CITATIONS:
+                return counts
+    except (TypeError, ValueError):  # a JSON non-string; a value int() refuses
+        pass
+    counts = []
     append = counts.append
     for value in values:
         if isinstance(value, str):

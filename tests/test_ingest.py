@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scimetrics import ingest
 from scimetrics.errors import MalformedDoi, SchemaError, UnknownAuthor
 from scimetrics.ingest import (
     AuthorProfile,
@@ -217,6 +218,126 @@ def test_parse_citations_agrees_with_previous_implementation(value):
     assert _parse_citations([value])[0] == (
         None if count is None or count > CITATIONS_BOUND else count
     )
+
+
+# The whole-column DOI pass and the per-value citation rule as they were
+# before ASCII text took its own passes, kept verbatim as oracles.
+_COLUMN_DOI = re.compile(
+    r"^(?:[^\S\n]*(?:(?:https?://doi\.org/|doi:)[^\S\n]*)?"
+    r"(10\.[0-9]+/[^\s\x00-\x1f\x7f-\x9f]+)[^\S\n]*$)?.*$",
+    re.MULTILINE,
+)
+
+
+def oracle_canonical_dois(fields) -> list[str]:
+    try:
+        text = "\n".join(fields).lower()
+    except TypeError:  # a JSON value that is not a str
+        return [""] * len(fields)
+    if text.count("\n") >= len(fields):  # a field holds "\n", or there is none
+        return [""] * len(fields)
+    return _COLUMN_DOI.findall(text)
+
+
+def oracle_citation(value) -> int | None:
+    if isinstance(value, str):
+        if not (value.isascii() and value.isdigit()):
+            value = value.strip()
+            if not _CITATIONS_SHAPE.fullmatch(value):
+                return None
+        try:
+            value = int(value)
+        except ValueError:  # more digits than the interpreter converts
+            return None
+    elif isinstance(value, bool) or not isinstance(value, int):
+        return None
+    return value if value <= CITATIONS_BOUND else None
+
+
+ASCII = "".join(map(chr, range(128)))
+UNICODE_SPACES = "\x85\xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B))) + (
+    "\u2028\u2029\u202f\u205f\u3000"
+)
+# A "\n" in a field sends its whole column to the per-field rule; the
+# exhaustive test below and the block tests cover that case.
+FIELD_CHARS = {
+    "ascii": ASCII.replace("\n", ""),
+    "unicode": ASCII.replace("\n", "") + UNICODE_SPACES,
+}
+
+
+def doi_fields(chars):
+    blank_chars = [c for c in chars if c.isspace() or not c.isprintable()]
+    blanks = st.text(st.sampled_from(blank_chars), max_size=2)
+    return st.one_of(
+        st.builds(
+            "{}{}{}10.{}/{}{}".format,
+            blanks,
+            st.sampled_from(["", "doi:", "https://doi.org/", "http://doi.org/"])
+            .flatmap(mixed_case),
+            blanks,
+            st.text(st.sampled_from("0123456789\u0663"), max_size=3),
+            st.text(st.sampled_from(chars), max_size=5),
+            blanks,
+        ),
+        st.text(st.sampled_from(chars), max_size=8),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(FIELD_CHARS.values())).flatmap(lambda c: st.lists(doi_fields(c))))
+@example(["10.1/A\x1c", "\x1fdoi:\x0b10.1/x\x0c", "10.1/x\x7f", "10.1/~!", "doi: 10.1/\x00"])
+@example(["10.1/x\x85", "\u300010.1/x", "doi:\u202810.1/x\u2029", "10.1/x y", "10.1/\xa0"])
+def test_column_doi_pass_equals_the_previous_pass(column):
+    assert ingest._canonical_dois(column) == oracle_canonical_dois(column)
+
+
+DOI_POSITIONS = (
+    "{}10.1/x", "{}doi:10.1/x", "doi:{}10.1/x", "htt{}://doi.org/10.1/x",
+    "https://doi.org/{}10.1/x", "1{}0.1/x", "10{}1/x", "10.{}1/x", "10.1{}/x",
+    "10.1/{}", "10.1/{}x", "10.1/x{}", "10.1/x{}y", "10.1/x {}", "10.1/x{} ",
+)
+
+
+@pytest.mark.parametrize("position", DOI_POSITIONS)
+def test_every_ascii_character_at_each_doi_position(position):
+    fields = [position.format(c) for c in ASCII]
+    column = [field for field in fields if "\n" not in field]
+    assert "".join(column).isascii() and len(column) == 127
+    assert ingest._canonical_dois(column) == oracle_canonical_dois(column)
+    for field in fields:  # each on its own, "\n" too
+        assert ingest._canonical_dois([field]) == oracle_canonical_dois([field])
+
+
+ODD_COUNTS = ["+5", "1_000", " 7 ", "-0", "\u0663", "", "9" * 4301, str(2**63), "\x1c8\x1f"]
+ascii_blanks = st.text(st.sampled_from(" \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f"), max_size=2)
+count_text = st.builds(
+    "{}{}{}".format, ascii_blanks, st.from_regex(r"-?[0-9]{1,20}", fullmatch=True), ascii_blanks
+)
+json_counts = st.one_of(st.integers(), st.just(2**63), st.booleans(), st.none())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(count_text),
+        st.lists(st.one_of(count_text, st.sampled_from(ODD_COUNTS))),
+        st.lists(st.one_of(count_text, st.sampled_from(ODD_COUNTS), json_counts)),
+    )
+)
+@example([str(CITATIONS_BOUND), "-" + "9" * 4300, "0"])
+@example(["1", str(CITATIONS_BOUND + 1)])
+@example(["5", 5, True, None])
+def test_citation_column_equals_the_per_value_rule(column):
+    assert _parse_citations(column) == [oracle_citation(v) for v in column]
+
+
+@pytest.mark.parametrize("form", ["{}", "{}5", "5{}", "5{}5", "-{}5", "{}-5", " {}7 "])
+def test_every_ascii_character_in_a_citation_count(form):
+    for c in ASCII:
+        value = form.format(c)
+        assert _parse_citations([value]) == [oracle_citation(value)], repr(value)
+        assert _parse_citations(["1", value]) == [1, oracle_citation(value)], repr(value)
 
 
 # ---------------------------------------------------------------------------

@@ -436,6 +436,47 @@ def test_a_plain_export_builds_csv_reader_once_for_the_header(case, tmp_path, mo
     assert sum(map(len, accepted.values())) + len(rejects) == rows
 
 
+class Touched(Exception):
+    """Raised by a stand-in for a pattern that a fast path must not use."""
+
+
+class Untouchable:
+    def __init__(self, name):
+        self.name = name
+
+    def __getattr__(self, attr):
+        raise Touched(self.name)
+
+
+def ascii_rows(n):
+    """Valid rows with negative counts and prefixed and upper-case DOIs."""
+    forms = ("10.{}/p{}", "doi:10.{}/p{}", "https://doi.org/10.{}/P{}", " DOI:10.{}/Q{} ")
+    return "".join(
+        f"a{i % 7},{forms[i % 4].format(i % 3, i // 2)},{i % 11 - 3},{'scopus' if i % 5 else ''}\n"
+        for i in range(n)
+    )
+
+
+@pytest.mark.parametrize("case", sorted(PLAIN_EXPORTS))
+def test_an_ascii_export_takes_the_fast_doi_and_count_passes(case, tmp_path, monkeypatch):
+    rows = 3 * ingest.BLOCK // 20
+    text = PLAIN_EXPORTS[case](HEADER + ascii_rows(rows))
+    assert len(text) > 2 * ingest.BLOCK and text.isascii()
+    path = input_file(tmp_path, text.encode(), ".csv")
+    accepted, rejects = parse_records(path, "scopus")
+    assert any(r.reason == "negative citations" for r in rejects)
+    # One DOI with a non-ASCII suffix, in the middle of the second block.
+    at = text.index("\n", ingest.BLOCK + ingest.BLOCK // 2)
+    non_ascii = text[:at] + "\na9,10.1/\xe9,1," + text[at:]
+    non_ascii = input_file(tmp_path, non_ascii.encode(), ".csv")
+    monkeypatch.setattr(ingest, "_DOI", Untouchable("_DOI"))
+    monkeypatch.setattr(ingest, "_CITATIONS_SHAPE", Untouchable("_CITATIONS_SHAPE"))
+    fast = parse_records(path, "scopus")
+    assert (in_order(fast[0]), fast[1]) == (in_order(accepted), rejects)
+    with pytest.raises(Touched, match="^_DOI$"):
+        parse_records(non_ascii, "scopus")
+
+
 @pytest.mark.parametrize(
     "bad_row, message",
     [
