@@ -230,17 +230,15 @@ def per_bin_correlation(
     return [spearman_sums(pairs[start:stop]) for start, stop in zip(cuts, cuts[1:])]
 
 
-def diff_sd(cohort: CohortTable, key: str) -> float:
+def diff_sd(cohort: CohortTable, key: str) -> float | None:
     """Sample standard deviation of per-author cross-database differences.
 
     The difference is key(first db) - key(second db) per author; the sd
-    uses the n-1 denominator. Raises DegenerateInput for cohorts below
-    two authors.
+    uses the n-1 denominator. None for a cohort below two authors: such a
+    cell is reported as absent, not as a number.
     """
     if len(cohort.keys) < 2:
-        raise DegenerateInput(
-            f"need at least two authors in {cohort.discipline!r} for a deviation"
-        )
+        return None
     value = RANK_KEYS[key]
     a, b = (map(value, cohort.reports[db]) for db in cohort.db_tags)
     return _sample_sd(list(map(operator.sub, a, b)))

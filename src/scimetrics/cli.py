@@ -27,7 +27,7 @@ from . import analytics
 from .analytics import BinSpec, CohortTable, ascii_digits, build_cohort
 from .config import OUT_DIR_ENV, ROUNDING_MODES, RunConfig
 from .crossdb import GLOBAL_SCOPE, DbOverlapStats, classify_overlap, overlap_proportions
-from .errors import ConfigError, DegenerateInput, EmptyScope, ScimetricsError
+from .errors import ConfigError, ScimetricsError
 from .indices import IndexReport, compute_hc
 from .ingest import (
     AuthorProfile,
@@ -316,7 +316,7 @@ def _rho(config: RunConfig, sxy: int, sxx: int, syy: int) -> float:
 
 
 class Table(NamedTuple):
-    """One report table; ``json_rows``, under the same header, replace its JSON's rows.
+    """One report table. A ``None`` cell is an absent value: ``-`` in CSV, ``null`` in JSON.
 
     A plot table is plot-ready long format and is written as CSV only.
     """
@@ -324,7 +324,6 @@ class Table(NamedTuple):
     name: str
     header: tuple[str, ...]
     rows: list[tuple]
-    json_rows: list[tuple] | None = None
     footnotes: tuple[str, ...] = ()
     plot: bool = False
 
@@ -338,19 +337,17 @@ def _print_wrote(path: Path) -> None:
         print(line.encode(sys.stdout.encoding, "backslashreplace").decode(sys.stdout.encoding))
 
 
-def write_tables(config: RunConfig, tables: list[Table]) -> None:
-    """Write every table in the configured formats, printing each path."""
+def write_tables(config: RunConfig, tables: list[Table]) -> list[Path]:
+    """Write every table in the configured formats; the paths written, in order."""
+    paths = []
     for table in tables:
         if config.format in ("csv", "both"):
-            path = config.out_dir / f"{table.name}.csv"
-            write_csv(path, table.header, table.rows)
-            _print_wrote(path)
+            paths.append(config.out_dir / f"{table.name}.csv")
+            write_csv(paths[-1], table.header, table.rows)
         if config.format in ("json", "both") and not table.plot:
-            path = config.out_dir / f"{table.name}.json"
-            write_json(
-                path, table.name, table.header, table.rows, table.json_rows, table.footnotes
-            )
-            _print_wrote(path)
+            paths.append(config.out_dir / f"{table.name}.json")
+            write_json(paths[-1], table.name, table.header, table.rows, table.footnotes)
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -407,11 +404,7 @@ def cmd_overlap(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
         for tag in tags:
             stats = report.per_db[tag]
             rows.append((scope, report.author_count, tag, *stats, report.common_pubs))
-        try:
-            cells = overlap_proportions(report)
-        except EmptyScope:
-            continue  # nothing published in this scope: no shares to report
-        for denominator, series, part, whole in cells:
+        for denominator, series, part, whole in overlap_proportions(report):
             share = part / whole if whole else 0.0
             prop_rows.append((scope, denominator, series, share, _pct(config, part, whole)))
     return [
@@ -467,20 +460,17 @@ def cmd_corr(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
     """Rank correlation between h and h_c inside each h-bin."""
     config = pipeline.config
     rows = []
-    json_rows = []
     for scope, tag, cohort in _scope_tags(pipeline):
         rhos = [
             None if sums is None else _rho(config, *sums)
             for sums in analytics.per_bin_correlation(cohort, config.bins, tag)
         ]
-        rows.append((scope, tag, *("-" if rho is None else rho for rho in rhos)))
-        json_rows.append((scope, tag, *rhos))
+        rows.append((scope, tag, *rhos))
     return [
         Table(
             "rank_correlation",
             ("discipline", "db", *config.bins.labels()),
             rows,
-            json_rows=json_rows,
             footnotes=(
                 "cells with fewer than two authors or a constant variable are"
                 " reported as absent (-), never as a number",
@@ -494,24 +484,17 @@ def cmd_deviation(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
 
     A one-author scope has no sd: its cell is absent (-) and it has no plot point.
     """
-    json_rows = []
-    for scope, cohort in pipeline.cohorts.items():
-        for key in ("h", "h_c"):
-            try:
-                json_rows.append((scope, key, analytics.diff_sd(cohort, key)))
-            except DegenerateInput:
-                json_rows.append((scope, key, None))
+    rows = [
+        (scope, key, analytics.diff_sd(cohort, key))
+        for scope, cohort in pipeline.cohorts.items()
+        for key in ("h", "h_c")
+    ]
     return [
-        Table(
-            "index_deviation",
-            ("discipline", "index", "sd"),
-            [(scope, key, "-" if sd is None else sd) for scope, key, sd in json_rows],
-            json_rows=json_rows,
-        ),
+        Table("index_deviation", ("discipline", "index", "sd"), rows),
         Table(
             "index_deviation_plot",
             PLOT_HEADER,
-            [(key, scope, sd) for scope, key, sd in json_rows if sd is not None],
+            [(key, scope, sd) for scope, key, sd in rows if sd is not None],
             plot=True,
         ),
     ]
@@ -601,10 +584,11 @@ def main(argv: list[str] | None = None, loaded: dict | None = None) -> int:
             pipeline = load_pipeline(config, reject_paths)
             if loaded is not None:
                 loaded["pipeline"] = pipeline
-        for path in reject_paths:
-            _print_wrote(path)
         build, _ = REPORTS[args.command]
-        write_tables(config, build(pipeline, args))
+        # The family's files are all written before the first "wrote" line, so
+        # a stdout that fails mid-listing leaves no family half written.
+        for path in [*reject_paths, *write_tables(config, build(pipeline, args))]:
+            _print_wrote(path)
         return 0
     except OSError as exc:
         print(f"scimetrics: i/o error: {exc}", file=sys.stderr)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from operator import countOf
 from typing import Iterable, NamedTuple
 
-from .errors import EmptyScope
 from .ingest import AuthorProfile
 
 GLOBAL_SCOPE = "all"
@@ -107,12 +106,13 @@ def overlap_proportions(report: OverlapReport) -> list[tuple[str, str, int, int]
 
     "union" cells divide by the two databases' DOI union, which their counts
     sum to; a database's cells by its own DOI count (common + unique =
-    ``total_pubs``, 0 when it has none). Raises EmptyScope for an empty union.
+    ``total_pubs``, 0 when it has none). No cells for an empty union: a scope
+    without publications has no shares.
     """
     common = report.common_pubs
     union = common + sum(stats.unique_pubs for stats in report.per_db.values())
     if union == 0:
-        raise EmptyScope(f"scope {report.scope!r} has no publications")
+        return []
     cells = [("union", "common", common, union)]
     for tag, stats in report.per_db.items():
         cells.append(("union", f"unique_{tag}", stats.unique_pubs, union))

@@ -17,10 +17,6 @@ class UnknownAuthor(ScimetricsError):
     """A publication record references an author_key absent from the roster."""
 
 
-class EmptyScope(ScimetricsError):
-    """A scope holds no publications, so proportions are undefined."""
-
-
 class DegenerateInput(ScimetricsError):
     """Too little data, or a constant variable, for the requested statistic."""
 

@@ -1,9 +1,11 @@
 """Deterministic report writers: CSV/JSON with atomic file replacement.
 
 Rows stream into a same-directory temp file, created 0666 less the umask as
-``open()`` would, which is then renamed into place. CSV bytes equal
-``csv.writer(fh, lineterminator="\\n")``'s; JSON bytes equal
-``json.dumps(payload, indent=2) + "\\n"``.
+``open()`` would, which is then renamed into place. A ``None`` cell is an
+absent value, the one rule for every report: CSV bytes equal
+``csv.writer(fh, lineterminator="\\n")``'s with each ``None`` cell given as
+``"-"``; JSON bytes equal ``json.dumps(payload, indent=2) + "\\n"``, where
+``None`` is ``null``.
 
 Rows go out ``CHUNK_ROWS`` at a time, so only one chunk's text is held, and
 each row must be as wide as the header, else TypeError and no file. A chunk
@@ -23,8 +25,9 @@ TypeError and no file. They are encoded as one flat list by the C encoder
 behind ``json.dumps``, with ``"\\n"`` as the item separator, and split on it.
 This is safe because ``encode_basestring_ascii`` escapes every control
 character, so ``"\\n"`` never occurs inside an encoded cell. For CSV, a chunk
-with any fallback column is written by ``csv.writer`` instead, as is every
-chunk of a one-column table, where ``csv`` quotes a lone empty field.
+with any fallback column is written by ``csv.writer`` instead, with ``"-"``
+for ``None``, as is every chunk of a one-column table, where ``csv`` quotes a
+lone empty field.
 """
 
 from __future__ import annotations
@@ -101,7 +104,7 @@ def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence])
             if width != 1 and all(_csv_plain(cells[j::width]) for j in range(width)):
                 fh.write(line * len(chunk) % tuple(cells))
             else:
-                writer.writerows(chunk)
+                writer.writerows(["-" if cell is None else cell for cell in row] for row in chunk)
 
 
 def _json_chunk(chunk: list[Sequence], width: int, head: Sequence = ()) -> tuple[list, list]:
@@ -129,16 +132,15 @@ def write_json(
     name: str,
     header: Sequence[str],
     rows: Iterable[Sequence],
-    json_rows: Iterable[Sequence] | None = None,
     footnotes: Sequence[str] = (),
 ) -> None:
     """``{"report": name, "rows": [...], "footnotes": [...]}``, one object per
-    row keyed by the distinct ``header`` names; ``json_rows`` replace ``rows``
-    when given, and the ``footnotes`` key is left out when there are none."""
+    row keyed by the distinct ``header`` names; the ``footnotes`` key is left
+    out when there are none."""
     keys = (encode_basestring_ascii(k).replace("%", "%%") for k in header)
     fields = ",\n      ".join(key + ": %s" for key in keys)
     template = "    {\n      " + fields + "\n    }" if header else "    {}"
-    rows = iter(rows if json_rows is None else json_rows)
+    rows = iter(rows)
     chunk = list(islice(rows, CHUNK_ROWS))
     # The name and footnotes share the first chunk's encoder call.
     (name_json, *footnotes_json), cells = _json_chunk(chunk, len(header), (name, *footnotes))

@@ -10,7 +10,7 @@ pytest_plugins = ["pytester"]
 
 # Seconds one test may run before pytest exits with a traceback of every
 # thread, so that a hang fails the run instead of blocking it. The whole suite
-# takes under 20 s.
+# takes about 30 s on a 2-vCPU host.
 TEST_TIME_LIMIT = 120
 
 

@@ -461,8 +461,7 @@ def test_diff_sd_plus_minus_one():
 
 def test_diff_sd_degenerate():
     reports = {"a0": {tag: report_for(5) for tag in DB_TAGS}}
-    with pytest.raises(DegenerateInput):
-        diff_sd(cohort_of(reports), "h")
+    assert diff_sd(cohort_of(reports), "h") is None
 
 
 def test_diff_sd_matches_two_pass_oracle_and_invariances():

@@ -406,6 +406,22 @@ def test_overlap_proportions_sum_to_one(tmp_path):
     assert by_scope and all(abs(total - 1.0) < 1e-12 for total in by_scope.values())
 
 
+def test_scope_without_publications_has_overlap_rows_but_no_shares(tmp_path):
+    data = write_golden_fixture(tmp_path)
+    with open(data / "roster.csv", "a") as fh:
+        fh.write("a4,0000-0004,R-4,7004,unpublished,Author 4\n")  # no row in either export
+    out = tmp_path / "out"
+    assert main(["overlap", *args_for(data, out)]) == 0
+    _, rows = read_csv(out / "overlap.csv")
+    assert [row for row in rows if row[0] == "unpublished"] == [
+        ["unpublished", "1", tag, "0", "0", "0", "0", "0"] for tag in ("scopus", "wos")
+    ]
+    _, prop_rows = read_csv(out / "overlap_proportions.csv")
+    assert [row[0] for row in prop_rows] == ["casebook"] * 7 + ["all"] * 7
+    payload = json.loads((out / "overlap_proportions.json").read_text())
+    assert {row["discipline"] for row in payload["rows"]} == {"casebook", "all"}
+
+
 def test_rank_outputs_are_ranked(tmp_path):
     out = tmp_path / "out"
     assert main(["rank", "--key", "g", *args_for(SYNTHETIC, out)]) == 0
@@ -994,6 +1010,24 @@ def test_non_utf8_out_dir_is_printed_escaped_under_a_strict_stdout(tmp_path, mon
     escaped = str(out).replace("\udcff", "\\udcff")
     lines = buffer.getvalue().decode("utf-8").splitlines()
     assert sorted(lines) == sorted(f"wrote {escaped}/{name}" for name in written)
+
+
+class ClosedStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_stdout_leaves_the_whole_family_written(tmp_path, capsys, monkeypatch):
+    # Every "wrote" line, the reject report's first, is printed once the
+    # family's files are all written.
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    out = tmp_path / "out"
+    assert main(["index", *args_for(SYNTHETIC, out)]) == 1
+    assert sorted(p.name for p in out.iterdir()) == [
+        "index_report.csv", "index_report.json", "index_stats.csv", "index_stats.json",
+        "rejects_scopus.csv",
+    ]
+    assert capsys.readouterr().err == "scimetrics: i/o error: [Errno 32] Broken pipe\n"
 
 
 def test_config_file_with_utf8_bom(tmp_path):

@@ -3,14 +3,12 @@
 import random
 from pathlib import Path
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from scimetrics.cli import Pipeline, cmd_overlap
 from scimetrics.config import RunConfig
 from scimetrics.crossdb import GLOBAL_SCOPE, classify_overlap, overlap_proportions
-from scimetrics.errors import EmptyScope
 from scimetrics.ingest import AuthorProfile
 
 DB_TAGS = ("scopus", "wos")
@@ -217,8 +215,7 @@ def test_proportions_all_common():
 
 def test_empty_scope():
     profile = make_profile("a1", "physics")
-    with pytest.raises(EmptyScope):
-        overlap_proportions(classify_overlap([profile], DB_TAGS))
+    assert overlap_proportions(classify_overlap([profile], DB_TAGS)) == []
 
 
 @given(

@@ -25,13 +25,11 @@ VALUES = st.one_of(st.text(), st.integers(), st.booleans(), st.floats(), st.none
 
 @st.composite
 def tables(draw):
-    """(name, header, rows, json_rows or None, footnotes) with matching widths."""
+    """(name, header, rows, footnotes) with matching widths."""
     header = draw(st.lists(st.text(max_size=8), unique=True, max_size=5))
-    row = st.tuples(*[VALUES] * len(header))
-    rows = draw(st.lists(row, max_size=6))
-    json_rows = draw(st.none() | st.lists(row, max_size=6))
+    rows = draw(st.lists(st.tuples(*[VALUES] * len(header)), max_size=6))
     footnotes = draw(st.lists(st.text(), max_size=3).map(tuple))
-    return draw(st.text()), header, rows, json_rows, footnotes
+    return draw(st.text()), header, rows, footnotes
 
 
 # tmp_path is shared by every example, so each writes over the same file.
@@ -43,22 +41,19 @@ PROPERTY = settings(
 @PROPERTY
 @given(tables())
 def test_write_json_matches_json_dumps(tmp_path, table):
-    name, header, rows, json_rows, footnotes = table
-    payload = {
-        "report": name,
-        "rows": [dict(zip(header, row)) for row in (rows if json_rows is None else json_rows)],
-    }
+    name, header, rows, footnotes = table
+    payload = {"report": name, "rows": [dict(zip(header, row)) for row in rows]}
     if footnotes:
         payload["footnotes"] = footnotes
     path = tmp_path / "t.json"
-    write_json(path, name, header, rows, json_rows, footnotes)
+    write_json(path, name, header, rows, footnotes)
     assert path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode("ascii")
 
 
 @PROPERTY
 @given(tables())
 def test_write_csv_matches_csv_writer(tmp_path, table):
-    _, header, rows, _, _ = table
+    _, header, rows, _ = table
     path = tmp_path / "t.csv"
     write_csv(path, header, rows)
     assert path.read_bytes() == csv_oracle(header, rows)
@@ -130,10 +125,11 @@ def json_oracle(name, header, rows, footnotes=()):
 
 
 def csv_oracle(header, rows):
+    """csv.writer's bytes, with an absent (None) cell given as "-"."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows(["-" if cell is None else cell for cell in row] for row in rows)
     return buf.getvalue().encode("utf-8")
 
 
@@ -307,4 +303,40 @@ def test_typed_columns_match_csv_writer_and_json_dumps(tmp_path, table):
     write_csv(tmp_path / "t.csv", header, rows)
     assert (tmp_path / "t.csv").read_bytes() == csv_oracle(header, rows)
     write_json(tmp_path / "t.json", "t", header, rows)
+    assert (tmp_path / "t.json").read_bytes() == json_oracle("t", header, rows)
+
+
+# ---------------------------------------------------------------------------
+# Absent cells: None is "-" in CSV and null in JSON, wherever it falls
+# ---------------------------------------------------------------------------
+
+def absent_in_floats(n, at):
+    return [("s", 0.5 * i, i) if i not in at else ("s", None, i) for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "header, rows",
+    [
+        (("a", "b", "c"), absent_in_floats(3, {1})),
+        (("a",), [(None,), ("",), (1.5,), (None,)]),
+        (("a",), [(None,)] * 3),
+        (("a", "b"), [("x", None)] * 3),  # a column that is all absent
+        *(
+            (("a", "b", "c"), absent_in_floats(2 * CHUNK_ROWS, {i}))
+            for i in (CHUNK_ROWS - 1, CHUNK_ROWS)
+        ),
+    ],
+    ids=["float-column", "one-column", "one-column-all-absent", "all-absent-column",
+         "last-of-a-chunk", "first-of-the-next-chunk"],
+)
+def test_absent_cell_is_a_dash_in_csv_and_null_in_json(tmp_path, header, rows):
+    write_csv(tmp_path / "t.csv", header, rows)
+    write_json(tmp_path / "t.json", "t", header, rows)
+    lines = (tmp_path / "t.csv").read_text(encoding="utf-8").splitlines()[1:]
+    payload = json.loads((tmp_path / "t.json").read_text(encoding="ascii"))
+    for row, line, obj in zip(rows, csv.reader(lines), payload["rows"], strict=True):
+        for key, cell, text in zip(header, row, line, strict=True):
+            if cell is None:
+                assert text == "-" and obj[key] is None
+    assert (tmp_path / "t.csv").read_bytes() == csv_oracle(header, rows)
     assert (tmp_path / "t.json").read_bytes() == json_oracle("t", header, rows)
