@@ -591,13 +591,13 @@ def main(argv: list[str] | None = None, loaded: dict | None = None) -> int:
             _print_wrote(path)
         return 0
     except OSError as exc:
-        print(f"scimetrics: i/o error: {exc}", file=sys.stderr)
-        return 1
+        message, code = f"i/o error: {exc}", 1
     except ScimetricsError as exc:
-        print(f"scimetrics: {type(exc).__name__}: {exc}", file=sys.stderr)
-        for path in reject_paths:
-            print(f"scimetrics: reject report written to {path}", file=sys.stderr)
-        return 2
+        message, code = f"{type(exc).__name__}: {exc}", 2
+    print(f"scimetrics: {message}", file=sys.stderr)
+    for path in reject_paths:
+        print(f"scimetrics: reject report written to {path}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -31,6 +31,12 @@ from .indices import CitationProfile
 _DOI_RULE = r"^(?:{0}*+(?:(?:https?://doi\.org/|doi:){0}*+)?(10\.[0-9]++/{1}++){0}*+$)?.*$"
 _DOI = re.compile(_DOI_RULE.format(r"[^\S\n]", r"[^\s\x00-\x1f\x7f-\x9f]"), re.MULTILINE)
 _DOI_ASCII = re.compile(_DOI_RULE.format(r"[ \t\x0b-\r\x1c-\x1f]", "[!-~]"), re.MULTILINE)
+# A run of whole lines, each a bare DOI or empty: it must accept only lines
+# that ``_DOI_ASCII`` maps to themselves (a DOI with no blank and no prefix,
+# or "" for an empty line, a missing DOI), so a run of an already lowered
+# column is its own canonical form. Possessive, so one match takes a run in
+# linear time.
+_BARE_DOI_LINES = re.compile(r"(?:10\.[0-9]++/[!-~]++\n|\n)*+")
 _CITATIONS_SHAPE = re.compile(r"-?[0-9]+")
 # The largest accepted citation count, the largest signed 64-bit value: a
 # count above it is rejected, so every total stays far below the interpreter's
@@ -94,15 +100,33 @@ def _canonical_dois(fields: Sequence) -> list[str]:
     A field that is not a DOI gives "". So does every field of a column
     that holds a value other than a str (JSON) or a field with a "\n",
     which the pass cannot tell from a line end; ``_canonical_doi`` decides
-    those one at a time.
+    those one at a time. An ASCII column with no "doi:" or "doi.org/" in
+    it is matched one run of bare-DOI and empty lines at a time, and each
+    line between runs on its own, by the same rule; where lowercasing
+    changes no field, the result holds the given fields themselves.
     """
     try:
-        text = "\n".join(fields).lower()
+        joined = "\n".join(fields)
     except TypeError:  # a JSON value that is not a str
         return [""] * len(fields)
+    text = joined.lower()
     if text.count("\n") >= len(fields):  # a field holds "\n", or there is none
         return [""] * len(fields)
-    return (_DOI_ASCII if text.isascii() else _DOI).findall(text)
+    if not text.isascii():
+        return _DOI.findall(text)
+    if "doi:" in text or "doi.org/" in text:
+        return _DOI_ASCII.findall(text)
+    dois = list(fields) if text == joined else text.split("\n")
+    text += "\n"
+    end = len(text)
+    pos = start = line = 0
+    while (pos := _BARE_DOI_LINES.match(text, pos).end()) < end:
+        line += text.count("\n", start, pos)  # the run's lines
+        found = _DOI_ASCII.match(text, pos)
+        dois[line] = found[1] or ""
+        pos = start = found.end() + 1
+        line += 1
+    return dois
 
 
 def normalize_doi(raw: str) -> str:

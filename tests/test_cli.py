@@ -1019,7 +1019,8 @@ class ClosedStdout(io.StringIO):
 
 def test_a_closed_stdout_leaves_the_whole_family_written(tmp_path, capsys, monkeypatch):
     # Every "wrote" line, the reject report's first, is printed once the
-    # family's files are all written.
+    # family's files are all written. The i/o error names the reject report
+    # on stderr, as a schema error does.
     monkeypatch.setattr(sys, "stdout", ClosedStdout())
     out = tmp_path / "out"
     assert main(["index", *args_for(SYNTHETIC, out)]) == 1
@@ -1027,7 +1028,10 @@ def test_a_closed_stdout_leaves_the_whole_family_written(tmp_path, capsys, monke
         "index_report.csv", "index_report.json", "index_stats.csv", "index_stats.json",
         "rejects_scopus.csv",
     ]
-    assert capsys.readouterr().err == "scimetrics: i/o error: [Errno 32] Broken pipe\n"
+    assert capsys.readouterr().err.splitlines() == [
+        "scimetrics: i/o error: [Errno 32] Broken pipe",
+        f"scimetrics: reject report written to {out / 'rejects_scopus.csv'}",
+    ]
 
 
 def test_config_file_with_utf8_bom(tmp_path):

@@ -477,6 +477,72 @@ def test_an_ascii_export_takes_the_fast_doi_and_count_passes(case, tmp_path, mon
         parse_records(non_ascii, "scopus")
 
 
+class CountedMatches:
+    """Stands in for ``_DOI_ASCII``: ``findall`` raises, ``match`` is counted."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.calls = 0
+
+    def findall(self, text):
+        raise Touched("_DOI_ASCII.findall")
+
+    def match(self, text, pos):
+        self.calls += 1
+        return self.pattern.match(text, pos)
+
+
+# DOI cells other than a bare DOI: missing, malformed, blank-padded. A
+# missing one is its own canonical form (""), so it needs no match.
+EXCEPTION_CELLS = ("", "not-a-doi/1", " 10.1/y", "10.1/x y")
+
+
+def bare_export(rows, cells, spell=str):
+    """``rows`` plain rows, the DOI cell of row ``i`` being ``cells[i]`` if given.
+
+    Every DOI cell is spelled by ``spell``.
+    """
+    lines = plain_rows(rows).splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        key, doi, rest = line.split(",", 2)
+        lines[i] = f"{key},{spell(cells.get(i, doi))},{rest}"
+    return HEADER + "".join(lines)
+
+
+@pytest.mark.parametrize("case", sorted(PLAIN_EXPORTS))
+def test_a_bare_doi_export_matches_only_the_lines_between_runs(case, tmp_path, monkeypatch):
+    rows = 3 * ingest.BLOCK // 20
+    # The first, middle and last lines, each next to another exception, and one alone.
+    at = (0, 1, rows // 3, rows // 2, rows // 2 + 1, rows - 2, rows - 1)
+    cells = {i: EXCEPTION_CELLS[j % len(EXCEPTION_CELLS)] for j, i in enumerate(at)}
+    exports = {}
+    for name, spell in (("lower", str), ("upper", str.upper)):
+        text = PLAIN_EXPORTS[case](bare_export(rows, cells, spell))
+        assert len(text) > 2 * ingest.BLOCK and text.isascii()
+        exports[name] = input_file(tmp_path, text.encode(), ".csv")
+    prefixed = bare_export(rows, {**cells, rows // 4: "doi:10.1/z"})
+    prefixed = input_file(tmp_path, PLAIN_EXPORTS[case](prefixed).encode(), ".csv")
+    want = outcome(parse_records, exports["lower"])
+    assert want == outcome(oracle_parse_records, exports["lower"])
+    counted = CountedMatches(ingest._DOI_ASCII)
+    monkeypatch.setattr(ingest, "_DOI_ASCII", counted)
+    for name, path in exports.items():
+        counted.calls = 0
+        assert outcome(parse_records, path) == want, name
+        assert counted.calls == sum(map(bool, cells.values())) == 5, name
+    with pytest.raises(Touched, match="findall"):
+        parse_records(prefixed, "scopus")
+
+
+def test_a_canonical_column_keeps_its_own_cells():
+    column = [f"10.{i % 3}/p{i}" for i in range(3000)]
+    column[1700] = "10.1/x y"
+    got = ingest._canonical_dois(column)
+    assert got is not column and column[1700] == "10.1/x y" and got[1700] == ""
+    assert all(g is cell for i, (g, cell) in enumerate(zip(got, column)) if i != 1700)
+    assert ingest._canonical_dois(tuple(map(str.upper, column))) == got
+
+
 @pytest.mark.parametrize(
     "bad_row, message",
     [

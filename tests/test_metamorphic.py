@@ -1,8 +1,9 @@
 """Metamorphic laws of a full report run: input row order, author key
 spelling and a lower duplicate of an accepted row do not reach the report
 numbers, a DOI shared with a co-author at no higher count does not reach
-the overlap numbers of a scope that already holds it, and the CSV inputs'
-line ends and quoting reach no output byte.
+the overlap numbers of a scope that already holds it, and neither the CSV
+inputs' line ends and quoting nor the export form of their DOIs reach an
+output byte.
 
 Each law runs on the 60-author fixture and on a small cohort of the
 ``cohort-sparse`` benchmark shape (many one-paper authors in many
@@ -25,6 +26,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from scimetrics.errors import MalformedDoi
+from scimetrics.ingest import normalize_doi
 
 ROOT = Path(__file__).resolve().parent.parent
 INPUTS = ("roster.csv", "records_scopus.csv", "records_wos.csv")
@@ -286,4 +290,39 @@ def test_line_ends_and_quoting_change_no_output_byte(
             for i, (newline, quoting) in enumerate(runs):
                 writer = csv.writer(fh, lineterminator=newline, quoting=quoting)
                 writer.writerows([header] * (i == 0) + rows[i * size : (i + 1) * size])
+    assert run_printing(rewritten, tmp_path_factory.mktemp("out")) == want
+
+
+def is_bare_doi(cell: str) -> bool:
+    """Whether ``cell`` is a valid DOI in its own canonical form."""
+    try:
+        return normalize_doi(cell) == cell
+    except MalformedDoi:
+        return False
+
+
+@pytest.mark.parametrize("block", [None, 97], ids=["default_blocks", "97_char_blocks"])
+@pytest.mark.parametrize(
+    "form", [1, 2, 3, None], ids=["url", "doi_prefix", "upper", "per_row_mix"]
+)
+def test_doi_export_forms_change_no_output_byte(
+    tmp_path_factory, baseline, monkeypatch, form, block
+):
+    # An empty or malformed cell is left alone: "doi:" plus an empty cell
+    # would turn a missing DOI into a malformed one.
+    source, _ = baseline
+    want = run_printing(source, tmp_path_factory.mktemp("out"))
+    if block is not None:
+        monkeypatch.setattr("scimetrics.ingest.BLOCK", block)
+    rng = random.Random(form)
+    rewritten = tmp_path_factory.mktemp("forms")
+    (rewritten / "roster.csv").write_bytes((source / "roster.csv").read_bytes())
+    for name in ("records_scopus.csv", "records_wos.csv"):
+        header, rows = read_table(source / name)
+        doi = header.index("doi")
+        for row in rows:
+            if is_bare_doi(row[doi]):
+                spell = DOI_FORMS[form] if form is not None else rng.choice(DOI_FORMS)
+                row[doi] = spell(row[doi])
+        write_table(rewritten / name, header, rows)
     assert run_printing(rewritten, tmp_path_factory.mktemp("out")) == want
