@@ -3,9 +3,11 @@
 
     python3 scripts/bench_pairs.py --parent DIR --head DIR --workload W --pairs N --seed S
 
-Pair i runs ``python3 bench/run.py --workload W --seed S+i --seconds 36
+Pair i runs ``python3 bench/run.py --workload W --seed S+i --seconds T
 --trace 0`` once in each checkout, the parent first on even i and the head
 first on odd i, so that a drift of the host's speed falls on both sides.
+T is the ``run_seconds`` of the head's ``BENCHMARK.json``, the run length
+that the benchmark itself uses.
 Each checkout runs its own ``bench/run.py``. The script prints every pair
 and, for each end-to-end metric that the head's ``BENCHMARK.json``
 declares, each side's median and quartiles, how many pairs the head won
@@ -25,8 +27,6 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-
-SECONDS = 36
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -63,11 +63,11 @@ def summarize(parent: list[float], head: list[float], better: str) -> dict:
     }
 
 
-def run_bench(checkout: Path, workload: str, seed: int) -> dict | None:
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
     """The metrics of one correct benchmark run in ``checkout``, else None."""
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(SECONDS), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True,
     )
     lines = done.stdout.strip().splitlines()
@@ -97,7 +97,8 @@ def main(argv: list[str] | None = None) -> int:
         seed = args.seed + i
         order = ("parent", "head") if i % 2 == 0 else ("head", "parent")
         for side in order:
-            metrics = run_bench(getattr(args, side), args.workload, seed)
+            metrics = run_bench(getattr(args, side), args.workload, seed,
+                                declared["run_seconds"])
             if metrics is None:
                 return 1
             runs[side].append(metrics)

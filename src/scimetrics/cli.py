@@ -229,6 +229,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 def load_pipeline(config: RunConfig, reject_paths: list[Path] | None = None) -> Pipeline:
     """Parse both exports and the roster, then build profiles and cohorts.
 
+    A load computes one ``IndexReport`` per distinct citation profile:
+    authors with equal profiles, in either database, share that immutable
+    report. The cache behind this lives for one load only, so each call
+    computes its reports afresh.
+
     Reject reports (one CSV per database, when any row was dropped) are
     written before anything else so a later validation failure still
     leaves them available; pass ``reject_paths`` to observe them even when
@@ -262,8 +267,10 @@ def load_pipeline(config: RunConfig, reject_paths: list[Path] | None = None) -> 
     profiles = build_profiles(accepted, roster, tags)
     # One report column per database in roster order; each discipline picks its positions.
     keys = tuple(map(_AUTHOR_KEY, profiles))
+    # Short profiles repeat across authors and databases: compute each distinct one once.
+    report = functools.cache(compute_hc)
     columns = {
-        tag: tuple(map(compute_hc, map(profile_to_citations, profiles, repeat(tag))))
+        tag: tuple(map(report, map(profile_to_citations, profiles, repeat(tag))))
         for tag in tags
     }
     positions: dict[str, list[int]] = {d: [] for d in disciplines}

@@ -31,7 +31,7 @@ class CitationProfile(_CitationProfile):
         counts = tuple(sorted(map(int, citations), reverse=True))
         if counts and counts[-1] < 0:
             raise ValueError("citation counts must be non-negative")
-        return super().__new__(cls, counts)
+        return tuple.__new__(cls, (counts,))
 
 
 class _IndexReport(NamedTuple):
@@ -62,7 +62,7 @@ class IndexReport(_IndexReport):
             raise ValueError("g cannot be below h")
         if h >= 1 and h_cite < h:
             raise ValueError("top-paper citations cannot be below h")
-        return super().__new__(cls, h, g, h_cite, k, h_c)
+        return tuple.__new__(cls, (h, g, h_cite, k, h_c))
 
 
 def compute_h(profile: CitationProfile) -> int:

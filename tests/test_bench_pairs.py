@@ -68,10 +68,10 @@ print(json.dumps({"correct": checkout.name != "broken", "metrics": {
 """
 
 
-def checkout(root: Path, name: str) -> Path:
+def checkout(root: Path, name: str, seconds: float = 36) -> Path:
     (root / name / "bench").mkdir(parents=True)
     (root / name / "bench" / "run.py").write_text(STUB_RUN)
-    declared = {"end_to_end": [
+    declared = {"run_seconds": seconds, "end_to_end": [
         {"name": "run_s", "better": "lower"}, {"name": "rows_per_s", "better": "higher"}
     ]}
     (root / name / "BENCHMARK.json").write_text(json.dumps(declared))
@@ -79,11 +79,12 @@ def checkout(root: Path, name: str) -> Path:
 
 
 def test_pairs_alternate_which_side_runs_first(tmp_path, capsys):
-    parent, head = checkout(tmp_path, "parent"), checkout(tmp_path, "head")
+    # Both sides run as long as the head's BENCHMARK.json says.
+    parent, head = checkout(tmp_path, "parent", 99), checkout(tmp_path, "head", 7)
     argv = ["--parent", str(parent), "--head", str(head), "--workload", "w", "--pairs", "2",
             "--seed", "5"]
     assert bench_pairs.main(argv) == 0
-    tail = "--workload w --seed {} --seconds 36 --trace 0"
+    tail = "--workload w --seed {} --seconds 7 --trace 0"
     assert (tmp_path / "log").read_text().splitlines() == [
         f"parent {tail.format(5)}", f"head {tail.format(5)}",
         f"head {tail.format(6)}", f"parent {tail.format(6)}",

@@ -31,9 +31,9 @@ from scimetrics.cli import (
     main,
 )
 from scimetrics.config import RunConfig
+from scimetrics.crossdb import GLOBAL_SCOPE
 from scimetrics.errors import ConfigError
-from scimetrics.indices import compute_hc
-from scimetrics.ingest import profile_to_citations
+from scimetrics.indices import CitationProfile, compute_hc
 
 from helpers import read_csv
 
@@ -1214,14 +1214,20 @@ def test_each_scope_cohort_holds_its_profiles_reports_as_columns(source, tmp_pat
     pipeline = load_pipeline(config_of(args_for(data, tmp_path / "out")))
     assert list(pipeline.cohorts) == list(pipeline.scopes)
     tags = pipeline.config.db_tags
+    shared = {}  # citation profile -> the one report object the load gave it
     for scope, profiles in pipeline.scopes.items():
         cohort = pipeline.cohorts[scope]
         assert (cohort.discipline, cohort.db_tags) == (scope, tags)
         assert cohort.keys == tuple(p.author_key for p in profiles)
         assert set(cohort.reports) == set(tags)
         for tag in tags:
-            expected = tuple(compute_hc(profile_to_citations(p, tag)) for p in profiles)
-            assert cohort.reports[tag] == expected
+            citations = [CitationProfile(p.per_db_publications[tag].values()) for p in profiles]
+            # Each report computed afresh, one call per author, with no cache.
+            assert cohort.reports[tag] == tuple(compute_hc(c) for c in citations)
+            for profile, report in zip(citations, cohort.reports[tag]):
+                assert shared.setdefault(profile, report) is report
+    # The fixture's 120 profiles are distinct; cohort-sparse's repeat.
+    assert (len(shared) < 2 * len(pipeline.scopes[GLOBAL_SCOPE])) == (source != "fixture")
 
 
 # ---------------------------------------------------------------------------

@@ -534,6 +534,41 @@ def test_a_bare_doi_export_matches_only_the_lines_between_runs(case, tmp_path, m
         parse_records(prefixed, "scopus")
 
 
+class MatchesPerFindall:
+    """Stands in for ``_DOI_ASCII``: counts the ``match`` calls before each ``findall``."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.calls = 0
+        self.columns = []  # (match calls, the column's lines) per findall
+
+    def findall(self, text, *span):
+        self.columns.append((self.calls, text.count("\n")))
+        self.calls = 0
+        return self.pattern.findall(text, *span)
+
+    def match(self, text, pos):
+        self.calls += 1
+        return self.pattern.match(text, pos)
+
+
+@pytest.mark.parametrize("cell", ["x{}", " 10.1/p{} "], ids=["malformed", "blank-padded"])
+def test_a_column_of_other_fields_is_matched_a_share_of_its_lines_at_a_time(
+    cell, tmp_path, monkeypatch
+):
+    rows = 3 * ingest.BLOCK // 20
+    text = bare_export(rows, {i: cell.format(i) for i in range(rows)})
+    assert len(text) > 2 * ingest.BLOCK and text.isascii()
+    path = input_file(tmp_path, text.encode(), ".csv")
+    want = outcome(oracle_parse_records, path)
+    counted = MatchesPerFindall(ingest._DOI_ASCII)
+    monkeypatch.setattr(ingest, "_DOI_ASCII", counted)
+    assert outcome(parse_records, path) == want
+    # Each block's column: one line in MATCH_SHARE matched alone, then one findall.
+    assert counted.calls == 0 and len(counted.columns) >= 3
+    assert all(calls == lines // ingest.MATCH_SHARE > 0 for calls, lines in counted.columns)
+
+
 def test_a_canonical_column_keeps_its_own_cells():
     column = [f"10.{i % 3}/p{i}" for i in range(3000)]
     column[1700] = "10.1/x y"

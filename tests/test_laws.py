@@ -6,15 +6,19 @@ attribute through which the program calls it: two exports are parsed once
 each, and each of the fixture's 6 scopes (5 disciplines and the global
 one) gets one cohort, one ranking per database and one overlap
 classification. Every byte under ``--out`` is written by one report writer.
+A load computes one index report per distinct citation profile, and a
+second run computes them again.
 """
 
 import importlib.util
 import os
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
 import scimetrics.analytics
 import scimetrics.cli
+from scimetrics.indices import CitationProfile
 
 ROOT = Path(__file__).resolve().parent.parent
 SYNTHETIC = ROOT / "tests" / "data" / "synthetic"
@@ -63,3 +67,44 @@ def test_a_full_run_calls_each_stage_once_per_unit_of_work(tmp_path, capsys):
     ]
     assert len(set(map(str, written))) == len(written)  # no file is written twice
     assert sum(map(os.path.getsize, written)) == sum(p.stat().st_size for p in out.iterdir())
+
+
+# (author, discipline, scopus citations, wos citations): equal profiles in
+# one database and across the two, in any paper order, and an empty
+# profile in each database.
+SHARED_PROFILES = (
+    ("a1", "d1", (5, 3, 1), (1, 3, 5)),
+    ("a2", "d1", (3, 1, 5), ()),
+    ("a3", "d2", (), (2,)),
+    ("a4", "d2", (), ()),
+    ("a5", "d1", (2,), (7, 7)),
+    ("a6", "d2", (7, 7), (2,)),
+)
+
+
+def write_shared_profiles(data):
+    data.mkdir()
+    roster = ["author_key,orcid,researcher_id,scopus_id,discipline,display_name"]
+    records = {tag: ["author_key,doi,citations,source"] for tag in ("scopus", "wos")}
+    for key, discipline, *citations in SHARED_PROFILES:
+        roster.append(f"{key},,,,{discipline},{key}")
+        for (tag, lines), counts in zip(records.items(), citations):
+            lines += (f"{key},10.1/{key}.{j},{c},{tag}" for j, c in enumerate(counts))
+    (data / "roster.csv").write_text("\n".join(roster) + "\n")
+    for tag, lines in records.items():
+        (data / f"records_{tag}.csv").write_text("\n".join(lines) + "\n")
+
+
+def test_a_load_computes_one_report_per_distinct_profile(tmp_path, capsys):
+    data = tmp_path / "data"
+    write_shared_profiles(data)
+    distinct = {CitationProfile(c) for _, _, *citations in SHARED_PROFILES for c in citations}
+    assert len(distinct) == 4
+    compute_hc = scimetrics.cli.compute_hc
+    with mock.patch.object(scimetrics.cli, "compute_hc", wraps=compute_hc) as computed:
+        for run in (1, 2):
+            assert run_full_analysis.run(data, tmp_path / f"out{run}", []) == 0
+            # A cache that outlived one load would leave the second run's count at 1.
+            calls = Counter(call.args[0] for call in computed.call_args_list)
+            assert calls == Counter(dict.fromkeys(distinct, run))
+    capsys.readouterr()
