@@ -13,7 +13,11 @@ and, for each end-to-end metric that the head's ``BENCHMARK.json``
 declares, each side's median and quartiles, how many pairs the head won
 (ties count for neither side) and whether the head shows a gain: it wins
 at least 9 of every 10 pairs and its median is better than the parent's
-by more than the parent's interquartile range.
+by more than the parent's interquartile range. Beside it stands the
+no-regression verdict against the metric's ``bound``, a share of the
+parent's median: ``regression`` when the head's median is worse by more
+than that, ``unresolved`` when the parent's interquartile range exceeds
+it unless every head run beats every parent run, else ``none``.
 
 Exit codes: 0 when every run was correct, 1 when a run failed or was not
 ``correct``. Standard library only.
@@ -63,6 +67,22 @@ def summarize(parent: list[float], head: list[float], better: str) -> dict:
     }
 
 
+def regression(parent: list[float], head: list[float], better: str, bound: float) -> str:
+    """The no-regression verdict of one metric: "regression", "unresolved" or "none".
+
+    ``bound`` is a share of the parent's median, as ``BENCHMARK.json``
+    declares it for each end-to-end metric.
+    """
+    sign = 1 if better == "lower" else -1
+    p_q1, p_median, p_q3 = quartiles(parent)
+    if sign * (statistics.median(head) - p_median) > bound * p_median:
+        return "regression"
+    beats_all = all(sign * (p - h) > 0 for p in parent for h in head)
+    if p_q3 - p_q1 > bound * p_median and not beats_all:
+        return "unresolved"
+    return "none"
+
+
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
     """The metrics of one correct benchmark run in ``checkout``, else None."""
     done = subprocess.run(
@@ -91,6 +111,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     declared = json.loads((args.head / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in declared["end_to_end"]}
 
     runs = {"parent": [], "head": []}
     for i in range(args.pairs):
@@ -108,14 +129,16 @@ def main(argv: list[str] | None = None) -> int:
               flush=True)
 
     for name, direction in better.items():
-        s = summarize([m[name]["value"] for m in runs["parent"]],
-                      [m[name]["value"] for m in runs["head"]], direction)
+        parent = [m[name]["value"] for m in runs["parent"]]
+        head = [m[name]["value"] for m in runs["head"]]
+        s = summarize(parent, head, direction)
         unit = runs["parent"][0][name]["unit"]
         print(f"{args.workload} {name} ({unit}, {direction} is better): "
               "median [quartiles] parent {1:.6g} [{0:.6g}, {2:.6g}] -> ".format(*s["parent"])
               + "head {1:.6g} [{0:.6g}, {2:.6g}]; ".format(*s["head"])
               + f"head wins {s['wins']}/{s['pairs']}; gap {s['gap']:.6g} vs parent IQR "
-              f"{s['parent_iqr']:.6g}; gain: {'yes' if s['gain'] else 'no'}")
+              f"{s['parent_iqr']:.6g}; gain: {'yes' if s['gain'] else 'no'}; "
+              f"regression: {regression(parent, head, direction, bound[name])}")
     return 0
 
 

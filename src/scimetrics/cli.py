@@ -403,11 +403,8 @@ def cmd_overlap(pipeline: Pipeline, args: argparse.Namespace) -> list[Table]:
     tags = config.db_tags
     rows = []
     prop_rows = []
-    # The disciplines come first and hold every profile between them, so by
-    # the global scope ``merged`` holds the global doi maps.
-    merged: dict[str, dict[str, int]] = {}
     for scope, group in pipeline.scopes.items():
-        report = classify_overlap(group, tags, scope, merged=merged)
+        report = classify_overlap(group, tags, scope)
         for tag in tags:
             stats = report.per_db[tag]
             rows.append((scope, report.author_count, tag, *stats, report.common_pubs))

@@ -2,7 +2,9 @@
 
 Classifies each scope's distinct DOIs as common to both databases or
 unique to one, and aggregates per-database publication and citation
-totals in the same shape as a per-discipline summary table.
+totals in the same shape as a per-discipline summary table. Every scope,
+a discipline or the global one, is one max-merge over the profiles it is
+given, so a report depends only on its arguments.
 
 Each share is an exact (count, denominator) cell: the common and unique
 counts over the two databases' DOI union, or over one database's own.
@@ -11,7 +13,7 @@ counts over the two databases' DOI union, or over one database's own.
 from __future__ import annotations
 
 from operator import countOf
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .ingest import AuthorProfile
 
@@ -34,54 +36,41 @@ class OverlapReport(NamedTuple):
     common_pubs: int
 
 
-def _scope_dois(
-    profiles: Iterable[AuthorProfile], db_tags: tuple[str, str]
-) -> dict[str, dict[str, int]]:
-    """Per database, the profiles' doi -> max citations map."""
-    dois: dict[str, dict[str, int]] = {tag: {} for tag in db_tags}
-    for profile in profiles:
-        for tag in db_tags:
-            seen = dois[tag]
-            for doi, citations in profile.per_db_publications.get(tag, {}).items():
-                if citations > seen.get(doi, -1):
-                    seen[doi] = citations
+def _scope_dois(profiles: list[AuthorProfile], tag: str) -> dict[str, int]:
+    """The profiles' doi -> max citations map of database ``tag``."""
+    maps = [profile.per_db_publications.get(tag, {}) for profile in profiles]
+    dois: dict[str, int] = {}
+    for counts in maps:
+        dois.update(counts)
+    if len(dois) < sum(map(len, maps)):  # some DOI has two authors
+        _keep_largest(dois, maps)
     return dois
+
+
+def _keep_largest(dois: dict[str, int], maps: list[dict[str, int]]) -> None:
+    """Raise each DOI in ``dois`` to its largest count in ``maps``."""
+    for counts in maps:
+        for doi, citations in counts.items():
+            if citations > dois[doi]:
+                dois[doi] = citations
 
 
 def classify_overlap(
     profiles: list[AuthorProfile],
     db_tags: tuple[str, str],
     scope: str = GLOBAL_SCOPE,
-    *,
-    merged: dict[str, dict[str, int]] | None = None,
 ) -> OverlapReport:
     """Common/unique DOI counts and per-database aggregates for one scope.
 
     ``profiles`` are the scope's authors and ``scope`` labels the report:
-    a discipline, or ``GLOBAL_SCOPE`` (the default) for every author. A
-    DOI shared by authors of two disciplines counts once in each
-    discipline's report but only once globally. Citation aggregates use
-    the maximum count observed for a DOI within the scope, mirroring the
-    duplicate merge at parse time; counts are non-negative, as
-    ``parse_records`` accepts them.
-
-    ``merged`` lets one walk of each profile serve both reports. A
-    discipline's call max-merges its per-database doi maps into it. A
-    global call reads its maps from it instead of walking ``profiles``,
-    which then only give the author count; that is right only when the
-    discipline calls before it merged every one of ``profiles``.
+    a discipline, or ``GLOBAL_SCOPE`` (the default) for every author. Each
+    scope is one merge over ``profiles`` alone, so a DOI shared by authors
+    of two disciplines counts once in each discipline's report and once
+    globally. Citation aggregates use the maximum count observed for a DOI
+    within the scope, mirroring the duplicate merge at parse time; counts
+    are non-negative, as ``parse_records`` accepts them.
     """
-    if scope == GLOBAL_SCOPE and merged is not None:
-        dois = {tag: merged.get(tag, {}) for tag in db_tags}
-    else:
-        dois = _scope_dois(profiles, db_tags)
-        if merged is not None:
-            for tag, counts in dois.items():
-                into = merged.setdefault(tag, {})
-                shared = into.keys() & counts.keys()
-                kept = {doi: into[doi] for doi in shared if into[doi] > counts[doi]}
-                into.update(counts)
-                into.update(kept)  # a DOI an earlier scope gave more citations
+    dois = {tag: _scope_dois(profiles, tag) for tag in db_tags}
     a, b = db_tags
     common = len(dois[a].keys() & dois[b].keys())
     per_db = {}

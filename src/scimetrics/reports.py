@@ -107,9 +107,9 @@ def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence])
                 writer.writerows(["-" if cell is None else cell for cell in row] for row in chunk)
 
 
-def _json_chunk(chunk: list[Sequence], width: int, head: Sequence = ()) -> tuple[list, list]:
-    """``head`` and the chunk's cells, each as ``json.dumps`` encodes it, except that
-    exact ints stay ints for the row template's ``%s``; one encoder call at most."""
+def _json_chunk(chunk: list[Sequence], width: int) -> list:
+    """The chunk's cells, each as ``json.dumps`` encodes it, except that exact
+    ints stay ints for the row template's ``%s``; one encoder call at most."""
     cells = _flat(chunk, width)
     fallback = []
     for j in range(width):
@@ -119,12 +119,12 @@ def _json_chunk(chunk: list[Sequence], width: int, head: Sequence = ()) -> tuple
             cells[j::width] = map(encode_basestring_ascii, column)
         elif kinds != {int}:
             fallback.append(j)
-    encoded = _json_cells([*head, *chain.from_iterable(cells[j::width] for j in fallback)])
-    start = len(head)
+    encoded = _json_cells(list(chain.from_iterable(cells[j::width] for j in fallback)))
+    start = 0
     for j in fallback:
         cells[j::width] = encoded[start : start + len(chunk)]
         start += len(chunk)
-    return encoded[: len(head)], cells
+    return cells
 
 
 def write_json(
@@ -140,10 +140,11 @@ def write_json(
     keys = (encode_basestring_ascii(k).replace("%", "%%") for k in header)
     fields = ",\n      ".join(key + ": %s" for key in keys)
     template = "    {\n      " + fields + "\n    }" if header else "    {}"
+    name_json = encode_basestring_ascii(name)
+    footnotes_json = list(map(encode_basestring_ascii, footnotes))
     rows = iter(rows)
     chunk = list(islice(rows, CHUNK_ROWS))
-    # The name and footnotes share the first chunk's encoder call.
-    (name_json, *footnotes_json), cells = _json_chunk(chunk, len(header), (name, *footnotes))
+    cells = _json_chunk(chunk, len(header))
     with _atomic_write(Path(path)) as fh:
         fh.write('{\n  "report": ' + name_json + ',\n  "rows": [')
         sep = "\n"
@@ -151,7 +152,7 @@ def write_json(
             fh.write(sep + ",\n".join([template] * len(chunk)) % tuple(cells))
             sep = ",\n"
             chunk = list(islice(rows, CHUNK_ROWS))
-            cells = _json_chunk(chunk, len(header))[1]
+            cells = _json_chunk(chunk, len(header))
         fh.write("]" if sep == "\n" else "\n  ]")
         if footnotes_json:
             fh.write(',\n  "footnotes": [\n    ' + ",\n    ".join(footnotes_json) + "\n  ]")

@@ -11,6 +11,7 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" /
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 summarize = bench_pairs.summarize
+regression = bench_pairs.regression
 
 
 def test_five_wins_with_a_gap_over_the_parent_iqr_is_a_gain():
@@ -52,6 +53,24 @@ def test_one_value_per_pair_is_required():
         summarize([], [], "lower")
 
 
+def test_a_median_worse_by_more_than_the_bound_is_a_regression():
+    parent = [1.00, 1.01, 1.02, 1.03, 1.04]
+    assert regression(parent, [1.30, 1.31, 1.29, 1.32, 1.30], "lower", 0.25) == "regression"
+    assert regression(parent, [1.20, 1.21, 1.19, 1.22, 1.20], "lower", 0.25) == "none"
+    assert regression([100.0, 101, 102], [70.0, 71, 72], "higher", 0.25) == "regression"
+
+
+def test_a_parent_spread_over_the_bound_is_unresolved_unless_the_head_beats_every_run():
+    parent = [0.023, 0.023, 0.034, 0.034, 0.034]  # IQR 0.011 over a median of 0.034
+    assert regression(parent, [0.034, 0.023, 0.034, 0.023, 0.034], "lower", 0.25) == "unresolved"
+    assert regression(parent, [0.020, 0.021, 0.022, 0.020, 0.021], "lower", 0.25) == "none"
+
+
+def test_a_close_median_within_a_narrow_spread_is_no_regression():
+    parent = [0.100, 0.101, 0.102, 0.103, 0.104]
+    assert regression(parent, [0.103, 0.104, 0.105, 0.106, 0.107], "lower", 0.25) == "none"
+
+
 STUB_RUN = """
 import json, sys
 from pathlib import Path
@@ -72,7 +91,8 @@ def checkout(root: Path, name: str, seconds: float = 36) -> Path:
     (root / name / "bench").mkdir(parents=True)
     (root / name / "bench" / "run.py").write_text(STUB_RUN)
     declared = {"run_seconds": seconds, "end_to_end": [
-        {"name": "run_s", "better": "lower"}, {"name": "rows_per_s", "better": "higher"}
+        {"name": "run_s", "better": "lower", "bound": 0.25},
+        {"name": "rows_per_s", "better": "higher", "bound": 0.25},
     ]}
     (root / name / "BENCHMARK.json").write_text(json.dumps(declared))
     return root / name
@@ -92,6 +112,7 @@ def test_pairs_alternate_which_side_runs_first(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "w run_s (s, lower is better)" in out and "head wins 2/2" in out
     assert out.count("gain: yes") == 2
+    assert out.count("regression: none") == 2
 
 
 def test_a_run_that_is_not_correct_exits_1(tmp_path, capsys):

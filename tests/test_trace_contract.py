@@ -70,7 +70,7 @@ def test_traced_full_run_records_every_layer(tmp_path, capsys):
     assert layers["analytics.build_cohort"]["calls"] == 6
     assert layers["analytics.rank_authors"]["calls"] == 12
     # One parse per export, and one overlap classification per scope with
-    # each profile walk inside it (the global scope merges the disciplines').
+    # each profile walk inside it (each scope merges its own profiles).
     assert layers["ingest.parse_records"]["calls"] == 2
     assert layers["crossdb.classify_overlap"]["calls"] == 6
     assert sum(sizes) == sum(p.stat().st_size for p in out.iterdir())
